@@ -8,14 +8,15 @@ swept (clock scaling, bandwidth scaling, tile counts) is not about NoC
 contention; differential tests pin it to the packet model exactly at
 zero load (``tests/noc/test_backends.py``).
 
-Why it is fast: the hot path never touches a per-link ledger.  Each
-message adds its serialization time to a per-*route* accumulator (one
-dict update), and the per-link busy map the utilization report needs is
-expanded from those route totals only when somebody asks — once per
-simulation, not once per hop per message.  Both the bare and the
-observed run read utilization from the same accumulators, so the report
-stays bit-identical whether or not an observer is attached
-(``tests/obs/test_zero_perturbation.py``).
+Why it is fast: the hot path never reserves a per-link ledger.  Each
+message is one lookup in the shared message memo
+(:meth:`~repro.noc.links.LinkLedgerBase._message`) plus one add of its
+serialization time to a per-*route* accumulator, and the per-link busy
+map the utilization report needs is expanded from those route totals
+only when somebody asks — once per simulation, not once per hop per
+message.  Both the bare and the observed run read utilization from the
+same accumulators, so the report stays bit-identical whether or not an
+observer is attached (``tests/obs/test_zero_perturbation.py``).
 
 What it still models faithfully:
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from repro.noc.config import NocConfig, NOC_CONFIG
 from repro.noc.links import LinkLedgerBase
-from repro.noc.model import TrackerListener
 from repro.noc.topology import Coord, Mesh
 
 Link = tuple[Coord, Coord]
@@ -50,9 +50,6 @@ class AnalyticalNetwork(LinkLedgerBase):
 
     def __init__(self, mesh: Mesh, config: NocConfig = NOC_CONFIG) -> None:
         super().__init__(mesh, config)
-        # (src, dst) -> the route's directed links, memoised (the mesh is
-        # static, so each pair routes identically forever).
-        self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
         # (src, dst) -> total serialization time sent over that route.
         # This is the authoritative busy accounting: per-link busy time
         # is the sum over routes crossing the link, expanded lazily.
@@ -64,48 +61,6 @@ class AnalyticalNetwork(LinkLedgerBase):
         # True once any fault reservation exists: only then can a
         # message be delayed, so only then does the hot path walk links.
         self._delays_possible = False
-        # (src, dst, size) -> precomputed per-message terms.  Message
-        # shapes repeat endlessly in a sweep (same feature sizes over the
-        # same routes), so everything derivable from the key — flit
-        # count, hop count, and the two latency addends of the zero-load
-        # formula — is computed once.  The addends are stored separately
-        # and summed in the original left-to-right order so the result is
-        # bit-identical to the inline arithmetic.
-        self._message_memo: dict[
-            tuple[Coord, Coord, int],
-            tuple[int, int, float, float, float],
-        ] = {}
-
-    def _message_terms(
-        self, src: Coord, dst: Coord, size_bytes: int
-    ) -> tuple[int, int, float, float, float]:
-        """Memoized ``(flits, hops, serialization, hop_term, flit_term)``."""
-        key = (src, dst, size_bytes)
-        terms = self._message_memo.get(key)
-        if terms is None:
-            self.mesh.validate_node(src)
-            self.mesh.validate_node(dst)
-            config = self.config
-            cycle = config.cycle_ns
-            flits = config.flits_for(size_bytes)
-            hops = self.mesh.distance(src, dst)
-            terms = (
-                flits,
-                hops,
-                flits * cycle,
-                hops * (config.hop_cycles * cycle),
-                (flits - 1) * cycle,
-            )
-            self._message_memo[key] = terms
-        return terms
-
-    def _route(self, src: Coord, dst: Coord) -> tuple[Link, ...]:
-        key = (src, dst)
-        links = self._routes.get(key)
-        if links is None:
-            links = tuple(self.mesh.route_links(src, dst))
-            self._routes[key] = links
-        return links
 
     def delivery_time(
         self,
@@ -115,51 +70,43 @@ class AnalyticalNetwork(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Zero-load tail-arrival time, delayed only by fault blackouts."""
-        flits, hops, serialization, hop_term, flit_term = \
-            self._message_terms(src, dst, size_bytes)
-        counters = self.stats._counters
-        counters["packets"] = counters.get("packets", 0.0) + 1.0
-        counters["flits"] = counters.get("flits", 0.0) + flits
-        counters["bytes"] = counters.get("bytes", 0.0) + max(size_bytes, 0)
-        counters["flit_hops"] = counters.get("flit_hops", 0.0) + flits * hops
-        config = self.config
-        cycle = config.cycle_ns
-        if src == dst:
+        trackers, _, serialization, hop, tail, _, _ = self._message(
+            src, dst, size_bytes
+        )
+        if not trackers:
             # Local delivery through the tile crossbar: one routing pass.
-            return start_ns + config.routing_delay_cycles * cycle
+            config = self.config
+            return start_ns + config.routing_delay_cycles * config.cycle_ns
 
         route_busy = self._route_busy_ns
         key = (src, dst)
         route_busy[key] = route_busy.get(key, 0.0) + serialization
 
-        zero_load = start_ns + hop_term + flit_term
+        zero_load = start_ns + len(trackers) * hop + tail
         observed = self._tracker_listener is not None
         if not observed and not self._delays_possible:
             # Hot path: no observer, no fault reservations — nothing can
             # delay the message and nobody needs per-hop spans.
             return zero_load
 
-        hop = config.hop_cycles * cycle
         head = start_ns
         delayed = False
-        for link in self._route(src, dst):
-            tracker = self._link(*link) if observed else self._links.get(link)
-            if tracker is not None:
-                if tracker.busy_until > head:
-                    # Wait out a blackout reservation, but never add one
-                    # (record_span leaves busy_until alone, so only
-                    # faults ever set this).
-                    head = tracker.busy_until
-                    delayed = True
-                if observed:
-                    tracker.record_span(start_ns, head, head + serialization)
+        for tracker in trackers:
+            if tracker.busy_until > head:
+                # Wait out a blackout reservation, but never add one
+                # (record_span leaves busy_until alone, so only faults
+                # ever set this).
+                head = tracker.busy_until
+                delayed = True
+            if observed:
+                tracker.record_span(start_ns, head, head + serialization)
             head += hop
         if not delayed:
             # The walk re-derives zero_load with different floating-point
             # associativity; return the closed form so every caller sees
             # the exact packet-model zero-load number.
             return zero_load
-        return head + (flits - 1) * cycle
+        return head + tail
 
     def reserve_link(
         self, src: Coord, dst: Coord, start_ns: float, duration_ns: float
@@ -169,33 +116,15 @@ class AnalyticalNetwork(LinkLedgerBase):
         self._blackout_ns[key] = self._blackout_ns.get(key, 0.0) + duration_ns
         self._delays_possible = True
 
-    def attach_tracker_listener(self, listener: TrackerListener) -> None:
-        if self._tracker_listener is not None:
-            raise RuntimeError("a tracker listener is already attached")
-        # The hot path creates no trackers, so materialise one for every
-        # link that already carried traffic; the base replay then shows
-        # the listener all of them.
-        for src, dst in self._route_busy_ns:
-            for link in self._route(src, dst):
-                self._link(*link)
-        super().attach_tracker_listener(listener)
-
     def _link_busy_ns(self) -> dict[Link, float]:
         """Per-link busy time, expanded from route totals + blackouts."""
         busy: dict[Link, float] = {}
         for (src, dst), total in self._route_busy_ns.items():
-            for link in self._route(src, dst):
+            for link in self.mesh.route_links(src, dst):
                 busy[link] = busy.get(link, 0.0) + total
         for link, blackout in self._blackout_ns.items():
             busy[link] = busy.get(link, 0.0) + blackout
         return busy
-
-    @property
-    def links_used(self) -> int:
-        links = set(self._links)
-        for src, dst in self._route_busy_ns:
-            links.update(self._route(src, dst))
-        return len(links)
 
     def link_utilization(self, elapsed_ns: float) -> dict[Link, float]:
         busy = self._link_busy_ns()

@@ -11,6 +11,14 @@ Pipelining is preserved: a packet's head proceeds hop by hop while its
 tail is still serializing, so the zero-load latency matches the wormhole
 model: ``hops * hop_cycles + (flits - 1)`` cycles.
 
+Per message the model does one dict lookup in the shared message memo
+(:meth:`~repro.noc.links.LinkLedgerBase._message`, which holds the
+route as a tuple of link trackers plus every timing term derivable from
+``(src, dst, size_bytes)``), four counter updates, and one
+:func:`~repro.sim.stats.reserve_path` walk over those trackers —
+validation and XY routing run only the first time a message shape is
+seen.
+
 This is the default :class:`~repro.noc.model.NocModel` backend
 (``"packet"`` in :mod:`repro.noc.backends`); the link bookkeeping —
 fault blackouts, stalled-link diagnosis, utilization reporting, the
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 from repro.noc.links import LinkLedgerBase
 from repro.noc.topology import Coord
+from repro.sim.stats import reserve_path
 
 
 class PacketNetwork(LinkLedgerBase):
@@ -43,27 +52,13 @@ class PacketNetwork(LinkLedgerBase):
         Reserves serialization time on every XY-route link, so later
         packets crossing the same links queue behind this one.
         """
-        self.mesh.validate_node(src)
-        self.mesh.validate_node(dst)
-        cycle = self.config.cycle_ns
-        flits = self.config.flits_for(size_bytes)
-        serialization = flits * cycle
-        hop = self.config.hop_cycles * cycle
-        links = self.mesh.route_links(src, dst)
-        self.stats.add("packets")
-        self.stats.add("flits", flits)
-        self.stats.add("bytes", max(size_bytes, 0))
-        self.stats.add("flit_hops", flits * len(links))
-        if src == dst:
+        trackers, _, serialization, hop, tail, _, _ = self._message(
+            src, dst, size_bytes
+        )
+        if not trackers:
             # Local delivery through the tile crossbar: one routing pass.
-            return start_ns + self.config.routing_delay_cycles * cycle
-
-        head = start_ns
-        for link_src, link_dst in links:
-            granted_start, _ = self._link(link_src, link_dst).occupy(
-                head, serialization
-            )
-            # The head flit crosses this hop as soon as the link grants it.
-            head = granted_start + hop
-        # The tail follows the head by the remaining serialization time.
-        return head + (flits - 1) * cycle
+            config = self.config
+            return start_ns + config.routing_delay_cycles * config.cycle_ns
+        # The head flit crosses each hop as soon as the link grants it;
+        # the tail follows the head by the remaining serialization time.
+        return reserve_path(trackers, start_ns, serialization, hop) + tail

@@ -82,27 +82,20 @@ class FlitNetworkAdapter(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Tail-arrival time from a batch replay of overlapping traffic."""
-        self.mesh.validate_node(src)
-        self.mesh.validate_node(dst)
+        trackers, flits, serialization, hop, _, _, _ = self._message(
+            src, dst, size_bytes
+        )
         config = self.config
         cycle = config.cycle_ns
-        flits = config.flits_for(size_bytes)
-        links = self.mesh.route_links(src, dst)
-        self.stats.add("packets")
-        self.stats.add("flits", flits)
-        self.stats.add("bytes", max(size_bytes, 0))
-        self.stats.add("flit_hops", flits * len(links))
-        if src == dst:
+        if not trackers:
             # Local delivery through the tile crossbar: one routing pass.
             return start_ns + config.routing_delay_cycles * cycle
 
         # Fault blackouts delay injection past any wedged route link.
         head_ns = start_ns
-        if self._links:
-            for link in links:
-                tracker = self._links.get(link)
-                if tracker is not None:
-                    head_ns = max(head_ns, tracker.busy_until)
+        for tracker in trackers:
+            if tracker.busy_until > head_ns:
+                head_ns = tracker.busy_until
 
         start_cycle = int(round(head_ns / cycle))
         while self._window and self._window[0].end_cycle <= start_cycle:
@@ -113,19 +106,17 @@ class FlitNetworkAdapter(LinkLedgerBase):
         message = _Message(src, dst, size_bytes, start_cycle, 0)
         if not self._window:
             # Lone packet: the wormhole pipeline's exact zero-load latency.
-            latency = len(links) * config.hop_cycles + flits - 1
+            latency = len(trackers) * config.hop_cycles + flits - 1
         else:
             latency = self._replay(message)
         message.end_cycle = start_cycle + latency
         self._window.append(message)
 
-        serialization = flits * cycle
-        hop = config.hop_cycles * cycle
-        for index, link in enumerate(links):
+        for index, tracker in enumerate(trackers):
             # Reporting spans at zero-load head offsets; contention shows
             # up in the returned latency, not in the span placement.
             span_start = head_ns + index * hop
-            self._link(*link).record_span(
+            tracker.record_span(
                 start_ns, span_start, span_start + serialization
             )
         return head_ns + latency * cycle

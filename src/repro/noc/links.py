@@ -8,6 +8,13 @@ blackouts (:meth:`reserve_link`), wedge detection
 listener hook — so the backends differ only in how
 :meth:`~repro.noc.model.NocModel.delivery_time` spends time on those
 ledgers (FIFO reservations, flit simulation, or a closed form).
+
+It also owns the one per-message memo every backend's
+``delivery_time`` starts from (:meth:`_message`): message shapes repeat
+endlessly in a simulation (the same feature sizes over the same
+routes), so validation, routing, the flit count and the timing addends
+are computed once per ``(src, dst, size_bytes)``, and the route is kept
+as the tuple of link trackers it crosses.
 """
 
 from __future__ import annotations
@@ -16,6 +23,14 @@ from repro.noc.config import NocConfig, NOC_CONFIG
 from repro.noc.model import TrackerListener
 from repro.noc.topology import Coord, Mesh
 from repro.sim.stats import BusyTracker, StatSet
+
+#: Memoized terms of one message shape, in this order: the route's link
+#: trackers, flits, serialization ns (flits * cycle), per-hop ns
+#: (hop_cycles * cycle), tail ns ((flits - 1) * cycle), payload bytes
+#: (never negative), and flit-hops (flits * route length).
+MessageTerms = tuple[
+    tuple[BusyTracker, ...], int, float, float, float, int, int
+]
 
 
 class LinkLedgerBase:
@@ -30,6 +45,7 @@ class LinkLedgerBase:
         self.config = config
         self._links: dict[tuple[Coord, Coord], BusyTracker] = {}
         self._tracker_listener: TrackerListener | None = None
+        self._messages: dict[tuple[Coord, Coord, int], MessageTerms] = {}
         self.stats = StatSet()
 
     def _link(self, src: Coord, dst: Coord) -> BusyTracker:
@@ -41,6 +57,48 @@ class LinkLedgerBase:
             if self._tracker_listener is not None:
                 self._tracker_listener(key, tracker)
         return tracker
+
+    def _message(
+        self, src: Coord, dst: Coord, size_bytes: int
+    ) -> MessageTerms:
+        """The memoized :data:`MessageTerms` of one message, counted.
+
+        Adds the message to the four protocol counters (``packets``,
+        ``flits``, ``bytes``, ``flit_hops``) as inline dict updates:
+        the observability layer reads :attr:`stats` live, so they are
+        never deferred.  Nodes are validated and the route is built only
+        on a miss; a failure is never memoized, so an invalid node
+        raises on every call.  Route trackers are created through
+        :meth:`_link` in route order, which keeps link creation order
+        and listener callbacks exactly as a per-hop walk would.
+        """
+        terms = self._messages.get((src, dst, size_bytes))
+        if terms is None:
+            mesh = self.mesh
+            mesh.validate_node(src)
+            mesh.validate_node(dst)
+            config = self.config
+            cycle = config.cycle_ns
+            flits = config.flits_for(size_bytes)
+            trackers = tuple(
+                self._link(*link) for link in mesh.route_links(src, dst)
+            )
+            terms = (
+                trackers,
+                flits,
+                flits * cycle,
+                config.hop_cycles * cycle,
+                (flits - 1) * cycle,
+                max(size_bytes, 0),
+                flits * len(trackers),
+            )
+            self._messages[(src, dst, size_bytes)] = terms
+        counters = self.stats._counters
+        counters["packets"] = counters.get("packets", 0.0) + 1.0
+        counters["flits"] = counters.get("flits", 0.0) + terms[1]
+        counters["bytes"] = counters.get("bytes", 0.0) + terms[5]
+        counters["flit_hops"] = counters.get("flit_hops", 0.0) + terms[6]
+        return terms
 
     def attach_tracker_listener(self, listener: TrackerListener) -> None:
         """Call ``listener(link, tracker)`` for every directed link.
@@ -69,10 +127,17 @@ class LinkLedgerBase:
 
         Fault-injection hook: packets routed over the link after the
         reservation are delayed behind it, exactly as if the router were
-        wedged for ``duration_ns``.
+        wedged for ``duration_ns``.  ``src`` and ``dst`` must be
+        adjacent (torus wraparound neighbours included): any other pair
+        is not a link, and reserving it would invent one.
         """
-        self.mesh.validate_node(src)
-        self.mesh.validate_node(dst)
+        mesh = self.mesh
+        mesh.validate_node(src)
+        mesh.validate_node(dst)
+        if dst not in mesh.neighbors(src):
+            raise ValueError(
+                f"{src} -> {dst} is not a link: the nodes are not adjacent"
+            )
         self._link(src, dst).occupy(start_ns, duration_ns)
 
     def any_link_busy(self, now_ns: float) -> bool:
@@ -82,8 +147,8 @@ class LinkLedgerBase:
         check: a busy link means in-flight serialization (packet model)
         or a fault blackout (any model), either of which can reorder
         deliveries, so closed-form time advancement is not safe.  The
-        analytical backend creates no trackers on its hot path, so this
-        is O(1)-empty there unless faults were injected.
+        analytical backend never reserves on its hot path, so there
+        only fault blackouts can make this true.
         """
         for tracker in self._links.values():
             if tracker.busy_until > now_ns:

@@ -85,8 +85,7 @@ class Mesh:
     def distance(self, src: Coord, dst: Coord) -> int:
         """Hop count of the minimal route (``len(route_links(...))``).
 
-        O(1); the analytical NoC backend's hot path uses it to avoid
-        materialising the route.
+        O(1): counts the hops without materialising the route.
         """
         return abs(dst[0] - src[0]) + abs(dst[1] - src[1])
 

@@ -3,7 +3,9 @@
 A :class:`Simulator` owns a priority queue of :class:`Event` objects.
 Events scheduled for the same timestamp fire in scheduling order, which
 makes runs deterministic for a fixed workload (a property the test suite
-relies on).
+relies on).  Heap entries are ``(time, seq, event)`` tuples: ``seq`` is
+unique, so ``heapq`` orders them by comparing floats and ints in C and
+never compares two events.
 
 Fast path
 ---------
@@ -14,7 +16,8 @@ execution modes:
 * the **fast path** (default) — slotted events drawn from a free-list,
   same-timestamp bulk schedules (:meth:`Simulator.post_bulk`) stored as
   one heap entry and drained in one dispatch, and a run loop specialised
-  for the common flag combinations;
+  for the common flag combinations, which checks watchdog budgets
+  inline and calls the watchdog only on an event where one could trip;
 * the **reference path** (``Simulator(fastpath=False)`` or
   ``$REPRO_SIM_FASTPATH=0``) — the seed per-event loop: one heap entry
   per event, no recycling, no batching.
@@ -68,7 +71,14 @@ class SimulationError(ReproError):
 
 
 class SupportsWatchdog(Protocol):
-    """Budget checker accepted by :meth:`Simulator.run`."""
+    """Budget checker accepted by :meth:`Simulator.run`.
+
+    The fast loop calls ``before_event`` before every event unless the
+    checker also offers ``inline_budgets()`` and the run-state
+    attributes ``fired``/``stall_run``/``last_time``, as
+    :class:`repro.sim.watchdog.Watchdog` does; then it is called only on
+    an event where a budget could trip.
+    """
 
     def before_event(self, sim: "Simulator", event: "Event") -> None: ...
 
@@ -108,9 +118,8 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker assigned by the simulator so same-time events fire in the
-    order they were scheduled.  ``__slots__`` plus the hand-written
-    ``__lt__`` keep heap maintenance cheap — the comparison is the single
-    hottest operation of a simulation (millions of calls per run).
+    order they were scheduled.  The heap holds ``(time, seq, event)``
+    entries, so events themselves are never compared.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_recycle")
@@ -129,11 +138,6 @@ class Event:
         self.args = args
         self.cancelled = cancelled
         self._recycle = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when it is popped.
@@ -169,7 +173,7 @@ class Simulator:
     """
 
     def __init__(self, fastpath: bool | None = None) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
@@ -177,8 +181,11 @@ class Simulator:
         self.fastpath = default_fastpath() if fastpath is None else fastpath
         # Free-list of recyclable events (post/post_at/post_bulk only).
         self._free: list[Event] = []
-        # Items of the currently-draining bulk dispatch still waiting to
-        # run (excluding the one executing); see :meth:`inline_safe`.
+        # The currently-draining bulk dispatch and how many of its items
+        # have not started: while an item's callback runs that excludes
+        # it (see :meth:`inline_safe`); while its watchdog check runs it
+        # is still counted, as a queued event would be.
+        self._batch_items: list[tuple[Callable[..., None], tuple[Any, ...]]] = []
         self._batch_pending = 0
         # Single bound-method instance marking bulk-post heap entries:
         # accessing ``self._run_batch`` creates a fresh bound object each
@@ -204,13 +211,15 @@ class Simulator:
         :meth:`pending_active` to exclude them.  A bulk schedule counts
         once per undispatched item.
         """
-        return sum(self._event_weight(event) for event in self._queue)
+        return self._batch_pending + sum(
+            self._event_weight(event) for _, _, event in self._queue
+        )
 
     def pending_active(self) -> int:
         """Number of queued events that will actually fire."""
-        return sum(
+        return self._batch_pending + sum(
             self._event_weight(event)
-            for event in self._queue
+            for _, _, event in self._queue
             if not event.cancelled
         )
 
@@ -229,16 +238,22 @@ class Simulator:
         watchdog diagnosis: when a run is aborted, it names who was still
         waiting for events.
         """
-        counts: dict[str, int] = {}
-        for event in self._queue:
+        callbacks = [
+            callback
+            for callback, _args in self._batch_items[
+                len(self._batch_items) - self._batch_pending:
+            ]
+        ]
+        for _, _, event in self._queue:
             if event.cancelled:
                 continue
             if event.callback is self._batch_marker:
-                for callback, _args in event.args[0]:
-                    owner = describe_callback(callback)
-                    counts[owner] = counts.get(owner, 0) + 1
-                continue
-            owner = describe_callback(event.callback)
+                callbacks.extend(callback for callback, _args in event.args[0])
+            else:
+                callbacks.append(event.callback)
+        counts: dict[str, int] = {}
+        for callback in callbacks:
+            owner = describe_callback(callback)
             counts[owner] = counts.get(owner, 0) + 1
         return counts
 
@@ -260,9 +275,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} ns; current time is {self._now} ns"
             )
-        event = Event(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        event = Event(time, seq, callback, args)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
@@ -286,19 +302,20 @@ class Simulator:
                 f"cannot schedule at {time} ns; current time is {now} ns"
             )
         free = self._free
+        seq = self._seq
         if self.fastpath and free:
             event = free.pop()
             event.time = time
-            event.seq = self._seq
+            event.seq = seq
             event.callback = callback
             event.args = args
         else:
-            event = Event(time, self._seq, callback, args)
+            event = Event(time, seq, callback, args)
             # Reference mode allocates a fresh, never-recycled event per
             # post, exactly like the seed loop.
             event._recycle = self.fastpath
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
 
     def post_bulk(
         self,
@@ -325,11 +342,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} ns; current time is {self._now} ns"
             )
-        event = Event(time, self._seq, self._batch_marker, (items,))
+        seq = self._seq
         # One seq per item keeps later individually-scheduled events
         # ordered after the whole batch, exactly as per-item posts would.
-        self._seq += len(items)
-        heapq.heappush(self._queue, event)
+        self._seq = seq + len(items)
+        heapq.heappush(
+            self._queue,
+            (time, seq, Event(time, seq, self._batch_marker, (items,))),
+        )
 
     def inline_safe(self, time: float) -> bool:
         """True if running a callback at ``time`` *right now* cannot
@@ -345,7 +365,7 @@ class Simulator:
         if self._batch_pending:
             return False
         queue = self._queue
-        return not queue or time < queue[0].time
+        return not queue or time < queue[0][0]
 
     def _recycle(self, event: Event) -> None:
         """Reset a fired recyclable event and return it to the free-list.
@@ -384,6 +404,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if watchdog is not None and not hasattr(watchdog, "inline_budgets"):
+            watchdog = _EveryEvent(watchdog)
         self._running = True
         run_start = perf_counter() if profiler is not None else 0.0
         try:
@@ -402,123 +424,156 @@ class Simulator:
                 profiler.add_run_wall(perf_counter() - run_start)
         return self._now
 
-    def _run_fast(self, watchdog: "SupportsWatchdog | None") -> None:
+    def _run_fast(self, watchdog: "_InlineWatchdog | None") -> None:
         """Tight dispatch loop for the dominant flag combination.
 
         No ``until``/``max_events`` bookkeeping, hoisted locals, and the
-        free-list fed inline.  The watchdog (when present) sees exactly
-        the per-event calls the reference loop makes.
+        free-list fed inline.  A watchdog's run state lives in locals and
+        its budgets are checked inline; ``before_event`` runs (state
+        written back first) only on an event where a budget could trip,
+        so each trip and its diagnosis come from the watchdog's own code
+        at the same event as in the reference loop.
         """
         queue = self._queue
         pop = heapq.heappop
         free = self._free
         batch = self._batch_marker
         fired = 0
-        try:
-            if watchdog is None:
+        if watchdog is None:
+            try:
                 while queue:
-                    event = pop(queue)
+                    time, seq, event = pop(queue)
                     if event.cancelled:
                         if event._recycle:
                             self._recycle(event)
                         continue
-                    self._now = event.time
+                    self._now = time
                     callback = event.callback
                     args = event.args
                     if event._recycle:
                         event.callback = _UNSET
                         event.args = ()
-                        event.cancelled = False
                         free.append(event)
                     if callback is batch:
-                        fired += self._dispatch_batch(args[0], None)
+                        self._dispatch_batch(args[0], seq, None)
                     else:
                         callback(*args)
                         fired += 1
-                return
-            before_event = watchdog.before_event
+            finally:
+                self._events_fired += fired
+            return
+        before_event = watchdog.before_event
+        max_time, max_fired, stall_events = watchdog.inline_budgets()
+        stall_edge = stall_events - 1
+        wd_fired = watchdog.fired
+        stall_run = watchdog.stall_run
+        last_time = watchdog.last_time
+        try:
             while queue:
-                event = queue[0]
+                time, seq, event = queue[0]
                 if event.cancelled:
                     self._drop_cancelled()
                     continue
-                before_event(self, event)
+                if (time > max_time or wd_fired >= max_fired
+                        or (time <= last_time and stall_run >= stall_edge)):
+                    # A budget could trip here: the watchdog decides.
+                    watchdog.fired = wd_fired
+                    watchdog.stall_run = stall_run
+                    watchdog.last_time = last_time
+                    before_event(self, event)
+                    wd_fired = watchdog.fired
+                    stall_run = watchdog.stall_run
+                    last_time = watchdog.last_time
+                elif time > last_time:
+                    stall_run = 0
+                    last_time = time
+                    wd_fired += 1
+                else:
+                    stall_run += 1
+                    wd_fired += 1
                 pop(queue)
-                self._now = event.time
+                self._now = time
                 callback = event.callback
                 args = event.args
                 if event._recycle:
                     event.callback = _UNSET
                     event.args = ()
-                    event.cancelled = False
                     free.append(event)
                 if callback is batch:
-                    # The first item's budget check just ran.
-                    fired += self._dispatch_batch(args[0], watchdog,
-                                                  first_checked=True)
+                    # The first item's budget check just ran; the batch
+                    # checks the rest against the watchdog's own state.
+                    watchdog.fired = wd_fired
+                    watchdog.stall_run = stall_run
+                    watchdog.last_time = last_time
+                    try:
+                        self._dispatch_batch(args[0], seq, watchdog,
+                                             first_checked=True)
+                    finally:
+                        wd_fired = watchdog.fired
+                        stall_run = watchdog.stall_run
                 else:
                     callback(*args)
                     fired += 1
         finally:
             self._events_fired += fired
+            watchdog.fired = wd_fired
+            watchdog.stall_run = stall_run
+            watchdog.last_time = last_time
 
     def _run_general(
         self,
         until: float | None,
         max_events: int | None,
-        watchdog: "SupportsWatchdog | None",
+        watchdog: "_InlineWatchdog | None",
         profiler: "SupportsProfiler | None",
     ) -> None:
         """Reference-shaped loop covering every flag combination.
 
         With ``fastpath=False`` this *is* the seed event loop (bulk posts
-        degrade to per-item events and nothing is recycled), which is
-        what the differential identity tier runs against.
+        degrade to per-item events and nothing is recycled, so the
+        watchdog sees every event), which is what the differential
+        identity tier runs against.
         """
         queue = self._queue
         stop_at = _INF if until is None else until
-        limit = max_events
-        fired = 0
+        limit = _INF if max_events is None else self._events_fired + max_events
         batch = self._batch_marker
-        try:
-            while queue:
-                event = queue[0]
-                if event.time > stop_at:
-                    self._now = stop_at
-                    return
-                if event.cancelled:
-                    self._drop_cancelled()
-                    continue
-                if watchdog is not None:
-                    watchdog.before_event(self, event)
-                heapq.heappop(queue)
-                self._now = event.time
-                callback = event.callback
-                args = event.args
-                if event._recycle:
-                    self._recycle(event)
-                if callback is batch:
-                    fired += self._dispatch_batch(
-                        args[0], watchdog,
-                        first_checked=watchdog is not None,
-                        profiler=profiler,
-                    )
-                elif profiler is None:
-                    callback(*args)
-                    fired += 1
-                else:
-                    handler_start = perf_counter()
-                    callback(*args)
-                    profiler.after_event(
-                        event, perf_counter() - handler_start, len(queue)
-                    )
-                    fired += 1
-                if limit is not None and fired >= limit:
-                    return
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._events_fired += fired
+        while queue:
+            time, seq, event = queue[0]
+            if time > stop_at:
+                self._now = stop_at
+                return
+            if event.cancelled:
+                self._drop_cancelled()
+                continue
+            if watchdog is not None:
+                watchdog.before_event(self, event)
+            heapq.heappop(queue)
+            self._now = time
+            callback = event.callback
+            args = event.args
+            if event._recycle:
+                self._recycle(event)
+            if callback is batch:
+                self._dispatch_batch(
+                    args[0], seq, watchdog,
+                    first_checked=watchdog is not None,
+                    profiler=profiler,
+                )
+            elif profiler is None:
+                callback(*args)
+                self._events_fired += 1
+            else:
+                handler_start = perf_counter()
+                callback(*args)
+                profiler.after_event(
+                    event, perf_counter() - handler_start, len(queue)
+                )
+                self._events_fired += 1
+            if self._events_fired >= limit:
+                return
+        if until is not None and until > self._now:
+            self._now = until
 
     def _drop_cancelled(self) -> None:
         """Pop one cancelled event off the heap (the single drain path).
@@ -528,7 +583,7 @@ class Simulator:
         timestamp is honoured identically everywhere: the flag is checked
         on the queue head *before* any dispatch or watchdog accounting.
         """
-        event = heapq.heappop(self._queue)
+        event = heapq.heappop(self._queue)[2]
         if event._recycle:
             self._recycle(event)
 
@@ -548,38 +603,59 @@ class Simulator:
     def _dispatch_batch(
         self,
         items: list[tuple[Callable[..., None], tuple[Any, ...]]],
-        watchdog: "SupportsWatchdog | None",
+        seq: int,
+        watchdog: "_InlineWatchdog | None",
         first_checked: bool = False,
         profiler: "SupportsProfiler | None" = None,
-    ) -> int:
-        """Drain one same-timestamp batch; returns how many items fired.
+    ) -> None:
+        """Drain one same-timestamp batch.
 
         Items were scheduled before anything currently in the heap with
         the same timestamp (monotone ``seq``), so running them back to
         back without re-consulting the heap preserves event order.  The
-        watchdog still sees one ``before_event`` per item (stall and
-        event budgets count batch items exactly like loose events).
+        watchdog's budgets cover each item exactly like a loose event's
+        (checked inline, ``before_event`` only where one could trip); the
+        items fired are added to :attr:`events_fired` here, even when an
+        item raises.  Items that have not started when a check trips or
+        a callback raises go back on the heap as one entry with their
+        own ``(time, seq)`` — left queued, as loose events would be.
         """
+        now = self._now
+        self._batch_items = items
+        self._batch_pending = len(items)
         fired = 0
         probe: Event | None = None
-        remaining = len(items)
+        if watchdog is not None:
+            before_event = watchdog.before_event
+            max_time, max_fired, stall_events = watchdog.inline_budgets()
+            stall_edge = stall_events - 1
+            wd_fired = watchdog.fired
+            stall_run = watchdog.stall_run
         try:
             for callback, args in items:
-                remaining -= 1
-                self._batch_pending = remaining
-                if watchdog is not None:
-                    if first_checked:
-                        first_checked = False
-                    else:
-                        if probe is None:
-                            probe = Event(self._now, self._seq, callback, args)
+                if first_checked:
+                    first_checked = False
+                elif watchdog is not None:
+                    # Every item after the first repeats the timestamp.
+                    if (now > max_time or wd_fired >= max_fired
+                            or stall_run >= stall_edge):
+                        probe = probe or Event(now, seq, callback, args)
+                        probe.seq = seq + len(items) - self._batch_pending
                         probe.callback = callback
                         probe.args = args
-                        watchdog.before_event(self, probe)
+                        watchdog.fired = wd_fired
+                        watchdog.stall_run = stall_run
+                        before_event(self, probe)
+                        wd_fired = watchdog.fired
+                        stall_run = watchdog.stall_run
+                    else:
+                        stall_run += 1
+                        wd_fired += 1
+                self._batch_pending -= 1
                 if profiler is None:
                     callback(*args)
                 else:
-                    probe = probe or Event(self._now, self._seq, callback, args)
+                    probe = probe or Event(now, seq, callback, args)
                     probe.callback = callback
                     probe.args = args
                     handler_start = perf_counter()
@@ -589,8 +665,18 @@ class Simulator:
                     )
                 fired += 1
         finally:
+            self._events_fired += fired
+            unstarted = self._batch_pending
+            self._batch_items = []
             self._batch_pending = 0
-        return fired
+            if watchdog is not None:
+                watchdog.fired = wd_fired
+                watchdog.stall_run = stall_run
+            if unstarted:
+                rest = len(items) - unstarted
+                heapq.heappush(self._queue, (now, seq + rest, Event(
+                    now, seq + rest, self._batch_marker, (items[rest:],)
+                )))
 
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
@@ -601,22 +687,49 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            if queue[0].cancelled:
+            if queue[0][2].cancelled:
                 self._drop_cancelled()
                 continue
-            event = heapq.heappop(queue)
-            self._now = event.time
+            time, seq, event = heapq.heappop(queue)
+            self._now = time
             callback = event.callback
             args = event.args
             if event._recycle:
                 self._recycle(event)
             if callback is self._batch_marker:
-                self._events_fired += self._dispatch_batch(args[0], None)
+                self._dispatch_batch(args[0], seq, None)
             else:
                 callback(*args)
                 self._events_fired += 1
             return True
         return False
+
+
+class _InlineWatchdog(SupportsWatchdog, Protocol):
+    """What the run loops use of a watchdog (see :class:`SupportsWatchdog`)."""
+
+    fired: int
+    stall_run: int
+    last_time: float
+
+    def inline_budgets(self) -> tuple[float, float, float]: ...
+
+
+class _EveryEvent:
+    """A plain ``before_event`` checker behind the inline-budget interface.
+
+    Its budgets are met by every event, so the fast loop calls it before
+    each one; its run-state attributes are placeholders the loop ignores.
+    """
+
+    def __init__(self, watchdog: SupportsWatchdog) -> None:
+        self.before_event = watchdog.before_event
+        self.fired = 0
+        self.stall_run = 0
+        self.last_time = -_INF
+
+    def inline_budgets(self) -> tuple[float, float, float]:
+        return -_INF, 0, 0
 
 
 def _unset_callback(*_args: Any) -> None:  # pragma: no cover - guard only

@@ -1,10 +1,12 @@
 """Statistics helpers shared by simulation modules.
 
-Two pieces:
+Three pieces:
 
 * :class:`StatSet` — a named bag of additive counters.
 * :class:`BusyTracker` — accumulates busy time so modules can report
   utilization (e.g. the DNA utilization plotted in the paper's Figure 10).
+* :func:`reserve_path` — :meth:`BusyTracker.occupy` over a chain of
+  trackers, the packet NoC's per-message route walk.
 """
 
 from __future__ import annotations
@@ -138,3 +140,36 @@ class BusyTracker:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_time / elapsed)
+
+
+def reserve_path(
+    trackers: tuple[BusyTracker, ...],
+    head: float,
+    duration: float,
+    hop: float,
+) -> float:
+    """Reserve ``duration`` on each tracker in turn, like a packet's head
+    walking a route; returns the head time one ``hop`` past the last grant.
+
+    Each tracker gets exactly what ``tracker.occupy(head, duration)``
+    would do, span sink included, with ``head`` moving to the granted
+    start plus ``hop`` before the next one.  Inlined because the packet
+    NoC walks a route once per message — hundreds of thousands of times
+    per simulation.
+    """
+    if duration < 0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+    for tracker in trackers:
+        start = tracker._busy_until
+        if start <= head:  # max(head, busy_until), head on a tie
+            start = head
+        finish = start + duration
+        tracker._busy_until = finish
+        tracker._busy_time += duration
+        if tracker._first_use is None:
+            tracker._first_use = start
+        tracker._last_use = finish
+        if tracker._span_sink is not None:
+            tracker._span_sink.append((head, start, finish))
+        head = start + hop
+    return head

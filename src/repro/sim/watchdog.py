@@ -18,10 +18,18 @@ On any trip the watchdog raises :class:`WatchdogTrip`, a
 :class:`~repro.sim.kernel.SimulationError` carrying a structured
 :class:`WatchdogDiagnosis` — current time, queue depth, and pending-event
 counts grouped by owning module — instead of letting the kernel spin.
+
+The budgets cost almost nothing on a healthy run: the kernel's fast loop
+tracks the watchdog's counters in locals and calls
+:meth:`Watchdog.before_event` only on an event where a budget could
+trip (every event when a wall-clock budget is set), so each trip and
+its diagnosis come from the same code, at the same event, as in a loop
+that calls it before every event.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -125,48 +133,79 @@ class WatchdogTrip(SimulationError):
 
 
 class Watchdog:
-    """Runtime state of one budget check; pass to ``Simulator.run``."""
+    """Runtime state of one budget check; pass to ``Simulator.run``.
+
+    ``fired``, ``stall_run`` and ``last_time`` are the run state: events
+    checked, the current run of events at a non-advancing timestamp, and
+    the last checked timestamp.  :meth:`before_event` is the one place a
+    budget trips, but the kernel's fast loop does not call it per event:
+    it keeps this state in locals, advances it inline, and calls
+    :meth:`before_event` (writing the state back first) only on an event
+    where one of the :meth:`inline_budgets` could trip.
+    """
 
     def __init__(self, config: WatchdogConfig) -> None:
         self.config = config
-        self._fired = 0
-        self._stall_run = 0
-        self._last_time: float | None = None
+        self.fired = 0
+        self.stall_run = 0
+        self.last_time = -math.inf
         self._wall_start: float | None = None
+        # Budgets as floats, infinite when the axis is off.
         self._max_time_ns = (
-            None if config.max_time_ms is None else config.max_time_ms * 1e6
+            math.inf if config.max_time_ms is None
+            else config.max_time_ms * 1e6
+        )
+        self._max_events = (
+            math.inf if config.max_events is None else config.max_events
+        )
+        self._stall_events = (
+            math.inf if config.stall_events is None else config.stall_events
         )
 
     @property
     def events_fired(self) -> int:
-        return self._fired
+        return self.fired
+
+    def inline_budgets(self) -> tuple[float, float, float]:
+        """``(max_time_ns, max_events, stall_events)``, infinite when off.
+
+        A budget can trip on an event only when its timestamp exceeds
+        ``max_time_ns``, when ``fired`` has reached ``max_events``, or
+        when the event at a non-advancing timestamp brings ``stall_run``
+        to ``stall_events``; the kernel checks exactly that inline.
+        With a wall-clock budget set, every event meets the returned
+        limits: host time moves on every event, so :meth:`before_event`
+        must see each one.
+        """
+        if self.config.max_wall_s is not None:
+            return -math.inf, 0, 0
+        return self._max_time_ns, self._max_events, self._stall_events
 
     def before_event(self, sim: Simulator, event: Event) -> None:
         """Check every budget; raises :class:`WatchdogTrip` on the first hit.
 
         Called by the kernel with the next non-cancelled event *before*
         executing it, so a far-future timestamp is caught while ``sim.now``
-        still reflects the last healthy event.
+        still reflects the last healthy event.  A trip leaves the run
+        state as it was, so the offending event trips again if re-run.
         """
         cfg = self.config
         if self._wall_start is None:
             self._wall_start = time.monotonic()
-        if self._max_time_ns is not None and event.time > self._max_time_ns:
+        at = event.time
+        if at > self._max_time_ns:
             self._trip("max_time", cfg.max_time_ms, sim, event)
-        if cfg.max_events is not None and self._fired >= cfg.max_events:
+        if self.fired >= self._max_events:
             self._trip("max_events", cfg.max_events, sim, event)
-        if cfg.stall_events is not None:
-            if self._last_time is not None and event.time <= self._last_time:
-                self._stall_run += 1
-                if self._stall_run >= cfg.stall_events:
-                    self._trip("stall", cfg.stall_events, sim, event)
-            else:
-                self._stall_run = 0
-            self._last_time = event.time
+        stalled = at <= self.last_time
+        if stalled and self.stall_run + 1 >= self._stall_events:
+            self._trip("stall", cfg.stall_events, sim, event)
         if cfg.max_wall_s is not None:
             if time.monotonic() - self._wall_start > cfg.max_wall_s:
                 self._trip("max_wall", cfg.max_wall_s, sim, event)
-        self._fired += 1
+        self.stall_run = self.stall_run + 1 if stalled else 0
+        self.last_time = at
+        self.fired += 1
 
     def _trip(
         self, reason: str, budget: float, sim: Simulator, event: Event
@@ -175,7 +214,7 @@ class Watchdog:
             WatchdogDiagnosis(
                 reason=reason,
                 budget=budget,
-                events_fired=self._fired,
+                events_fired=self.fired,
                 now_ns=sim.now,
                 next_event_ns=event.time,
                 queue_depth=sim.pending,

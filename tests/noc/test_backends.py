@@ -230,6 +230,20 @@ class TestBookkeepingAcrossBackends:
         assert delayed >= 600.0  # past the blackout
 
     @pytest.mark.parametrize("name", BACKENDS)
+    def test_reserve_link_rejects_non_links(self, name):
+        backend = create_backend(name, Mesh(4, 4), NocConfig())
+        for src, dst in [((0, 0), (3, 3)), ((0, 0), (2, 0)),
+                         ((1, 1), (1, 1))]:
+            with pytest.raises(ValueError):
+                backend.reserve_link(src, dst, start_ns=0.0, duration_ns=50.0)
+        # No phantom link reaches any report.
+        assert backend.links_used == 0
+        assert backend.link_utilization(100.0) == {}
+        assert backend.stalled_links(now_ns=0.0, horizon_ns=1.0) == []
+        assert backend.delivery_time((0, 0), (3, 3), 64, 0.0) == \
+            zero_load_ns(NocConfig(), 6, 64)
+
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_stalled_links_reports_the_blackout(self, name):
         backend = create_backend(name, Mesh(2, 2), NocConfig())
         backend.reserve_link((0, 0), (1, 0), start_ns=0.0,

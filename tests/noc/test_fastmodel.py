@@ -104,3 +104,52 @@ class TestReporting:
     def test_invalid_node_rejected(self, net):
         with pytest.raises(ValueError):
             net.delivery_time((0, 0), (9, 9), 64, 0.0)
+
+
+class TestMessageMemo:
+    """Per-message terms are memoized; behaviour must not notice."""
+
+    def test_invalid_node_raises_on_every_call(self, net):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                net.delivery_time((0, 0), (9, 9), 64, 0.0)
+            with pytest.raises(ValueError):
+                net.delivery_time((9, 9), (0, 0), 64, 0.0)
+        assert net.links_used == 0
+        assert net.stats.get("packets") == 0
+
+    def test_blackout_after_memoized_route_delays_next_packet(self):
+        net = PacketNetwork(Mesh(4, 1))
+        first = net.delivery_time((0, 0), (3, 0), 256, 0.0)
+        repeat = net.delivery_time((0, 0), (3, 0), 256, 1000.0)
+        assert repeat - 1000.0 == first
+        net.reserve_link((1, 0), (2, 0), start_ns=2000.0, duration_ns=500.0)
+        delayed = net.delivery_time((0, 0), (3, 0), 256, 2000.0)
+        # The head waits out the blackout on the second hop, then takes
+        # one more hop and the tail's serialization.
+        assert delayed == 2500.0 + 2.0 + 2.0 + 3.0
+
+    def test_listener_after_traffic_sees_every_link_once(self):
+        net = PacketNetwork(Mesh(4, 4))
+        pairs = [((0, 0), (3, 3)), ((3, 3), (0, 0)), ((0, 0), (3, 3)),
+                 ((1, 2), (1, 0)), ((2, 2), (2, 2))]
+        for i, (src, dst) in enumerate(pairs):
+            net.delivery_time(src, dst, 128, 10.0 * i)
+        seen = []
+        net.attach_tracker_listener(lambda link, tracker: seen.append(link))
+        used = {
+            link for src, dst in pairs for link in net.mesh.route_links(src, dst)
+        }
+        assert sorted(seen) == sorted(used)
+        assert len(seen) == net.links_used
+        # Memo hits reuse the memoized trackers: no new link, no callback.
+        for src, dst in pairs:
+            net.delivery_time(src, dst, 128, 1000.0)
+        assert sorted(seen) == sorted(used)
+
+    def test_repeats_count_like_fresh_messages(self, net):
+        for _ in range(3):
+            net.delivery_time((0, 0), (2, 1), 200, 0.0)
+        assert net.stats.as_dict() == {
+            "packets": 3, "flits": 12, "bytes": 600, "flit_hops": 36,
+        }

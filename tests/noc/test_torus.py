@@ -74,6 +74,26 @@ class TestPacketNetworkOnTorus:
         net.delivery_time((0, 0), (7, 0), 64, 0.0)
         assert net.stats.get("flit_hops") == 1
 
+    def test_memoizes_its_own_wraparound_route(self):
+        net = PacketNetwork(Torus(8, 1))
+        seen = []
+        net.attach_tracker_listener(lambda link, tracker: seen.append(link))
+        first = net.delivery_time((0, 0), (7, 0), 256, 0.0)
+        second = net.delivery_time((0, 0), (7, 0), 256, 0.0)
+        assert seen == [((0, 0), (7, 0))]
+        assert second == first + 4.0  # queued on the same wraparound link
+        assert net.stats.get("flit_hops") == 2 * 4
+        mesh_net = PacketNetwork(Mesh(8, 1))
+        mesh_net.delivery_time((0, 0), (7, 0), 256, 0.0)
+        assert mesh_net.links_used == 7
+
+    def test_wraparound_link_can_be_reserved(self):
+        net = PacketNetwork(Torus(8, 1))
+        net.reserve_link((0, 0), (7, 0), start_ns=0.0, duration_ns=50.0)
+        assert net.delivery_time((0, 0), (7, 0), 64, 0.0) == 50.0 + 2.0
+        with pytest.raises(ValueError):
+            PacketNetwork(Mesh(8, 1)).reserve_link((0, 0), (7, 0), 0.0, 50.0)
+
     def test_mean_latency_improves_under_uniform_traffic(self):
         config = NocConfig()
         nodes = Mesh(6, 6).nodes()

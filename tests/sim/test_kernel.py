@@ -136,6 +136,28 @@ class _RaisingWatchdog:
         raise SimulationError("budget")
 
 
+def test_plain_watchdog_sees_every_event_on_both_loops():
+    """A checker with only ``before_event`` (no inline budgets) is called
+    before every event, bulk-post items included, on either loop."""
+
+    class Recording:
+        def __init__(self):
+            self.times = []
+
+        def before_event(self, sim, event):
+            self.times.append(event.time)
+
+    for fastpath in (True, False):
+        sim = Simulator(fastpath=fastpath)
+        sim.schedule_at(1.0, lambda: None)
+        sim.post_bulk(2.0, [(lambda: None, ())] * 5)
+        sim.post_at(3.0, lambda: None)
+        checker = Recording()
+        sim.run(watchdog=checker)
+        assert checker.times == [1.0] + [2.0] * 5 + [3.0]
+        assert sim.events_fired == 7
+
+
 def test_max_events_combined_with_until():
     """Whichever bound is reached first stops the run; the rest of the
     queue survives for a later run() call."""

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.sim import BusyTracker, StatSet
+from repro.sim.stats import reserve_path
+
+
+def _state(tracker: BusyTracker) -> tuple:
+    return tuple(getattr(tracker, slot) for slot in BusyTracker.__slots__)
 
 
 class TestStatSet:
@@ -78,3 +83,36 @@ class TestBusyTracker:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             BusyTracker().occupy(0.0, -1.0)
+
+
+class TestReservePath:
+    """reserve_path must equal occupy on each tracker, hop by hop."""
+
+    @pytest.mark.parametrize("head", [0.0, 3.0, 7.5, 40.0])
+    def test_matches_occupy_chain(self, head):
+        def trackers():
+            made = [BusyTracker() for _ in range(4)]
+            made[1].occupy(0.0, 9.0)   # busy past some heads
+            made[2].occupy(5.0, 2.0)
+            made[3].occupy(10.0, 0.5)
+            for tracker in made:
+                tracker.attach_span_sink([])
+            return made
+
+        walked, stepped = trackers(), trackers()
+        result = reserve_path(tuple(walked), head, 4.0, 2.0)
+        expected = head
+        for tracker in stepped:
+            start, _ = tracker.occupy(expected, 4.0)
+            expected = start + 2.0
+        assert result == expected
+        assert [_state(t) for t in walked] == [_state(t) for t in stepped]
+
+    def test_empty_path_returns_head(self):
+        assert reserve_path((), 12.0, 4.0, 2.0) == 12.0
+
+    def test_negative_duration_rejected(self):
+        tracker = BusyTracker()
+        with pytest.raises(ValueError):
+            reserve_path((tracker,), 0.0, -1.0, 2.0)
+        assert tracker.busy_time == 0.0

@@ -1,5 +1,6 @@
 """Watchdog budget tests: every axis trips with a usable diagnosis."""
 
+import dataclasses
 import time
 
 import pytest
@@ -162,3 +163,86 @@ class TestDiagnosis:
         text = exc.value.diagnosis.format()
         assert "1 queued" in text
         assert "t=0 ns" in text
+
+
+class _Unit:
+    """A named component, so diagnoses group its pending events."""
+
+    def __init__(self, name: str, trace: list) -> None:
+        self.name = name
+        self.trace = trace
+
+    def tick(self, tag) -> None:
+        self.trace.append((self.name, tag))
+
+
+def _schedule(sim: Simulator, trace: list) -> None:
+    """Loose events, a 20-item bulk post at t=5, more loose events, and
+    one far-future event."""
+    a, b = _Unit("a", trace), _Unit("b", trace)
+    for i in range(5):
+        sim.schedule_at(float(i), a.tick, i)
+    sim.post_bulk(5.0, [(b.tick, (k,)) for k in range(20)])
+    sim.post_at(5.0, a.tick, "after-bulk")
+    for i in range(6, 10):
+        sim.post_at(float(i), a.tick, i)
+    sim.schedule_at(5e9, a.tick, "far")
+
+
+class TestFastLoopMatchesReference:
+    """The fast loop checks budgets inline and calls ``before_event``
+    only where one could trip; every trip must still match the reference
+    loop (one ``before_event`` per event) field for field, including the
+    kernel state it leaves behind."""
+
+    @pytest.mark.parametrize("config,reason", [
+        # 5 loose events, then the 8th item of the bulk post.
+        (WatchdogConfig(max_events=12, stall_events=None), "max_events"),
+        # Before the bulk post.
+        (WatchdogConfig(max_events=3), "max_events"),
+        # The bulk post's 8th same-time item.
+        (WatchdogConfig(stall_events=8), "stall"),
+        # The loose event queued behind the bulk post at t=5.
+        (WatchdogConfig(stall_events=20), "stall"),
+        # All 21 events at t=5 pass one short of the stall budget.
+        (WatchdogConfig(stall_events=21, max_time_ms=1.0), "max_time"),
+        (WatchdogConfig(max_time_ms=1.0), "max_time"),
+        (WatchdogConfig(max_time_ms=1e-6, stall_events=None), "max_time"),
+    ])
+    def test_same_trip_on_both_loops(self, config, reason):
+        outcomes = []
+        for fastpath in (True, False):
+            sim = Simulator(fastpath=fastpath)
+            trace: list = []
+            _schedule(sim, trace)
+            with pytest.raises(WatchdogTrip) as exc:
+                sim.run(watchdog=config.build())
+            diagnosis = dataclasses.asdict(exc.value.diagnosis)
+            state = (trace[:], sim.now, sim.pending, sim.pending_active(),
+                     sim.events_fired)
+            sim.run()  # the offending event was left queued
+            outcomes.append((diagnosis, state, trace, sim.now))
+        fast, reference = outcomes
+        assert fast[0]["reason"] == reason
+        assert fast == reference
+
+    def test_trip_inside_a_bulk_post_names_its_items(self):
+        sim = Simulator()
+        trace: list = []
+        _schedule(sim, trace)
+        with pytest.raises(WatchdogTrip) as exc:
+            sim.run(watchdog=Watchdog(WatchdogConfig(max_events=12)))
+        diagnosis = exc.value.diagnosis
+        assert diagnosis.events_fired == 12
+        assert trace[-1] == ("b", 6)
+        # Items 7..19 of the bulk post are still pending.
+        assert diagnosis.pending_by_owner["b.tick"] == 13
+        assert diagnosis.queue_depth == 13 + 6
+
+    def test_watchdog_counts_every_event_it_was_not_called_for(self):
+        sim = Simulator()
+        trace: list = []
+        _schedule(sim, trace)
+        watchdog = Watchdog(WatchdogConfig(max_time_ms=None))
+        sim.run(watchdog=watchdog)
+        assert watchdog.events_fired == sim.events_fired == len(trace) == 31
