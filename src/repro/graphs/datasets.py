@@ -30,7 +30,7 @@ from repro.graphs.generators import (
     collaboration_graph,
     molecule_graph_set,
 )
-from repro.graphs.graph import Graph, GraphSet
+from repro.graphs.graph import FeatureDraw, Graph, GraphSet
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,12 @@ DATASETS: dict[str, DatasetStats] = {
 
 
 def _attach_features(graph: Graph, width: int, seed: int) -> Graph:
-    rng = np.random.default_rng(seed)
-    graph.node_features = rng.standard_normal(
-        (graph.num_nodes, width)
-    ).astype(np.float32)
+    # The draw is deferred to the first read of ``node_features``: the
+    # simulator prices features by width only, so most runs never draw.
+    # Only a draw with its own RNG can be deferred. ``molecule_graph_set``
+    # interleaves features and edges on one stream and ``stress_graph``
+    # draws features after its edges on the same stream, so both stay eager.
+    graph.node_features = FeatureDraw(seed, graph.num_nodes, width)
     return graph
 
 

@@ -9,9 +9,50 @@ statistics Table V reports.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+# eq=False: ``rows`` is an array, so field-wise equality would be ambiguous.
+@dataclass(frozen=True, eq=False)
+class FeatureDraw:
+    """A seeded standard-normal feature matrix not yet drawn.
+
+    :meth:`draw` returns exactly
+    ``np.random.default_rng(seed).standard_normal((num_rows, width))
+    .astype(np.float32)``, restricted to ``rows`` when set.  A graph holding
+    one draws it on the first read of ``node_features``, so a run that only
+    needs feature *widths* (the whole simulator) never allocates the matrix.
+    """
+
+    seed: int
+    num_rows: int
+    width: int
+    rows: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the matrix :meth:`draw` returns."""
+        count = self.num_rows if self.rows is None else len(self.rows)
+        return (count, self.width)
+
+    def take(self, rows: np.ndarray) -> "FeatureDraw":
+        """The pending draw of ``self.draw()[rows]``."""
+        base = np.arange(self.num_rows) if self.rows is None else self.rows
+        return FeatureDraw(self.seed, self.num_rows, self.width, base[rows])
+
+    def draw(self) -> np.ndarray:
+        """Run the draw (every call draws afresh)."""
+        rng = np.random.default_rng(self.seed)
+        features = rng.standard_normal((self.num_rows, self.width)).astype(
+            np.float32
+        )
+        return features if self.rows is None else features[self.rows]
 
 
 class Graph:
@@ -25,7 +66,8 @@ class Graph:
     num_nodes:
         Number of vertices.
     node_features:
-        Optional ``(num_nodes, F)`` float32 array.
+        Optional ``(num_nodes, F)`` float32 array, or a :class:`FeatureDraw`
+        with as many rows that is drawn on the first read.
     edge_features:
         Optional ``(nnz, Fe)`` float32 array aligned with ``indices``.
     undirected_edge_count:
@@ -40,7 +82,7 @@ class Graph:
         indptr: np.ndarray,
         indices: np.ndarray,
         num_nodes: int,
-        node_features: np.ndarray | None = None,
+        node_features: np.ndarray | FeatureDraw | None = None,
         edge_features: np.ndarray | None = None,
         undirected_edge_count: int | None = None,
         name: str = "",
@@ -62,15 +104,7 @@ class Graph:
             self.indices.min() < 0 or self.indices.max() >= self.num_nodes
         ):
             raise ValueError("indices contain out-of-range vertex ids")
-        self.node_features = None
-        if node_features is not None:
-            node_features = np.asarray(node_features, dtype=np.float32)
-            if node_features.shape[0] != self.num_nodes:
-                raise ValueError(
-                    f"node_features has {node_features.shape[0]} rows, "
-                    f"expected {self.num_nodes}"
-                )
-            self.node_features = node_features
+        self.node_features = node_features
         self.edge_features = None
         if edge_features is not None:
             edge_features = np.asarray(edge_features, dtype=np.float32)
@@ -82,6 +116,43 @@ class Graph:
             self.edge_features = edge_features
         self._undirected_edge_count = undirected_edge_count
 
+    # -- node features ---------------------------------------------------
+
+    @property
+    def node_features(self) -> np.ndarray | None:
+        """The ``(num_nodes, F)`` float32 node features, or ``None``.
+
+        A pending :class:`FeatureDraw` is drawn here on the first read and
+        the result kept.
+        """
+        if self._feature_draw is not None:
+            self._node_features = self._feature_draw.draw()
+            self._feature_draw = None
+        return self._node_features
+
+    @node_features.setter
+    def node_features(self, value: np.ndarray | FeatureDraw | None) -> None:
+        draw = value if isinstance(value, FeatureDraw) else None
+        if draw is None and value is not None:
+            value = np.asarray(value, dtype=np.float32)
+        if value is not None and value.shape[0] != self.num_nodes:
+            raise ValueError(
+                f"node_features has {value.shape[0]} rows, "
+                f"expected {self.num_nodes}"
+            )
+        self._feature_draw = draw
+        self._node_features = None if draw is not None else value
+
+    def node_feature_rows(
+        self, rows: np.ndarray
+    ) -> np.ndarray | FeatureDraw | None:
+        """``node_features[rows]``, still pending if the draw is."""
+        if self._feature_draw is not None:
+            return self._feature_draw.take(rows)
+        if self._node_features is None:
+            return None
+        return self._node_features[rows]
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -90,7 +161,7 @@ class Graph:
         num_nodes: int,
         edges: Sequence[tuple[int, int]] | np.ndarray,
         undirected: bool = True,
-        node_features: np.ndarray | None = None,
+        node_features: np.ndarray | FeatureDraw | None = None,
         name: str = "",
     ) -> "Graph":
         """Build a graph from ``(src, dst)`` pairs.
@@ -135,8 +206,12 @@ class Graph:
 
     @property
     def num_node_features(self) -> int:
-        """Width of the node feature matrix (0 if absent)."""
-        return 0 if self.node_features is None else self.node_features.shape[1]
+        """Width of the node feature matrix (0 if absent); never draws."""
+        if self._feature_draw is not None:
+            return self._feature_draw.width
+        if self._node_features is None:
+            return 0
+        return self._node_features.shape[1]
 
     @property
     def num_edge_features(self) -> int:
@@ -168,6 +243,8 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """The stored adjacency as a scipy CSR matrix of float32 ones."""
+        import scipy.sparse as sp
+
         data = np.ones(self.nnz, dtype=np.float32)
         return sp.csr_matrix(
             (data, self.indices, self.indptr),
@@ -180,6 +257,8 @@ class Graph:
         This is the matrix the paper maps onto the DNN accelerator as dense
         convolution weights in Section II.
         """
+        import scipy.sparse as sp
+
         adj = self.adjacency()
         if add_self_loops:
             adj = adj + sp.identity(self.num_nodes, dtype=np.float32, format="csr")

@@ -75,13 +75,10 @@ def relabel(graph: Graph, order: np.ndarray) -> Graph:
     src = graph.indices
     mask = dst <= src  # keep one direction of each undirected edge
     edges = np.stack([new_id[dst[mask]], new_id[src[mask]]], axis=1)
-    features = None
-    if graph.node_features is not None:
-        features = graph.node_features[order]
     return Graph.from_edge_list(
         graph.num_nodes,
         edges,
         undirected=True,
-        node_features=features,
+        node_features=graph.node_feature_rows(order),
         name=graph.name,
     )

@@ -214,11 +214,8 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray, name: str) -> Graph:
     dst = local[graph.indices[keep]]
     counts = np.bincount(src, minlength=len(nodes))
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    node_features = None
-    if graph.node_features is not None:
-        node_features = graph.node_features[nodes]
-    sub = Graph(indptr, dst, len(nodes), node_features=node_features,
-                name=name)
+    sub = Graph(indptr, dst, len(nodes),
+                node_features=graph.node_feature_rows(nodes), name=name)
     if graph.edge_features is not None:
         sub.edge_features = graph.edge_features[keep]
     return sub

@@ -31,6 +31,23 @@ def test_datasets_are_cached():
     assert load_dataset("cora") is load_dataset("cora")
 
 
+@pytest.mark.parametrize(
+    "name, seed", [("cora", 1), ("citeseer", 2), ("pubmed", 3)]
+)
+def test_citation_features_equal_the_eager_draw(name, seed):
+    spec = DATASETS[name]
+    graph = load_dataset(name)
+    assert graph.num_node_features == spec.vertex_features
+    expected = np.random.default_rng(seed).standard_normal(
+        (spec.total_nodes, spec.vertex_features)
+    ).astype(np.float32)
+    features = graph.node_features
+    assert features.dtype == np.float32
+    assert features.shape == (spec.total_nodes, spec.vertex_features)
+    assert np.array_equal(features, expected)
+    assert dataset_statistics(name) == spec
+
+
 def test_dblp_vertex_state_is_degree():
     g = dblp_1()
     assert g.num_node_features == 1
