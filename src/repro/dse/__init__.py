@@ -5,7 +5,7 @@ The ``repro dse`` subcommand's engine: search drivers
 propose points of a :class:`repro.space.ConfigSpace`, every proposal is
 simulated through the cached sweep machinery, and the result is a
 Pareto frontier (:mod:`repro.dse.pareto`) over latency, ALU count, and
-memory bandwidth — emitted as a byte-stable schema-v1 JSON report plus
+memory bandwidth — emitted as a byte-stable schema-v2 JSON report plus
 a terminal table.
 """
 

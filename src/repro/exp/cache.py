@@ -97,6 +97,9 @@ def config_fingerprint(config: AcceleratorConfig) -> dict[str, Any]:
     """
     data = dataclasses.asdict(config)
     data.pop("watchdog", None)
+    # A retired field: every run behaves as its old default did, so the
+    # constant keeps every key (and pinned report) from before its removal.
+    data["fast_forward"] = False
     return data
 
 

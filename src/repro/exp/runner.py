@@ -841,16 +841,13 @@ def figure8_points(
     clocks: Sequence[float] = FIGURE8_CLOCKS,
     configs: Sequence[str] | None = None,
     noc_backend: str | None = None,
-    fast_forward: bool = False,
 ) -> list[Point]:
     """The Figure 8 sweep grid: configs x benchmarks x clocks.
 
     ``noc_backend`` pins every point to one registered NoC backend;
     ``None`` keeps each configuration's own (the ``"packet"`` default,
-    or ``$REPRO_NOC_BACKEND``).  ``fast_forward`` enables the engine's
-    approximate contention-free scheduling mode on every point.  Both
-    are part of each point's cache key, so exact and approximate runs
-    never share entries.
+    or ``$REPRO_NOC_BACKEND``).  The backend is part of each point's
+    cache key, so fidelities never share entries.
     """
     from repro.models.registry import BENCHMARKS
     from repro.space import resolve_config
@@ -862,8 +859,6 @@ def figure8_points(
         config = resolve_config(name)
         if noc_backend is not None:
             config = config.with_noc_backend(noc_backend)
-        if fast_forward:
-            config = config.with_fast_forward()
         return config
 
     return [

@@ -140,21 +140,6 @@ class LinkLedgerBase:
             )
         self._link(src, dst).occupy(start_ns, duration_ns)
 
-    def any_link_busy(self, now_ns: float) -> bool:
-        """True if any directed link is reserved beyond ``now_ns``.
-
-        Cheap contention probe for the engine's fast-forward eligibility
-        check: a busy link means in-flight serialization (packet model)
-        or a fault blackout (any model), either of which can reorder
-        deliveries, so closed-form time advancement is not safe.  The
-        analytical backend never reserves on its hot path, so there
-        only fault blackouts can make this true.
-        """
-        for tracker in self._links.values():
-            if tracker.busy_until > now_ns:
-                return True
-        return False
-
     def stalled_links(
         self, now_ns: float, horizon_ns: float
     ) -> list[tuple[tuple[Coord, Coord], float]]:

@@ -14,11 +14,9 @@ Two service-time modes exist per benchmark:
 * **exact** — the system's default single-run latency;
 * **approx** — the graceful-degradation latency: for the accelerator,
   the same benchmark re-priced on the zero-contention ``analytical``
-  NoC backend with ``fast_forward`` scheduling (the two approximate
-  modes of PR 4/PR 6); for the baseline machines, which have no
-  approximate variant, the exact value with ``approximate_backend``
-  left ``None`` so reports never claim a degradation that did not
-  happen.
+  NoC backend; for the baseline machines, which have no approximate
+  variant, the exact value with ``approximate_backend`` left ``None``
+  so reports never claim a degradation that did not happen.
 
 Instance faults follow the :mod:`repro.accel.faults` conventions:
 frozen, validated specs; seed-addressed :func:`random_instance_fault`
@@ -154,7 +152,7 @@ class ServiceTimes:
     """Per-benchmark service times of one system, exact and approximate.
 
     ``approximate_backend`` documents where the approx column came from
-    (``"analytical+fast_forward"`` for the accelerator) or ``None`` when
+    (``"analytical"`` for the accelerator) or ``None`` when
     the system has no cheaper mode and the approx column simply mirrors
     the exact one.
     """
@@ -182,7 +180,7 @@ class ServiceTimes:
 
 
 #: How the accelerator's graceful-degradation latency is priced.
-ACCEL_APPROX_BACKEND = "analytical+fast_forward"
+ACCEL_APPROX_BACKEND = "analytical"
 
 
 def measure_service_times(
@@ -194,10 +192,11 @@ def measure_service_times(
     """Price every benchmark on ``system`` through the cached run path.
 
     ``noc_backend`` overrides the accelerator's *exact* interconnect
-    model (the approximate column always uses ``analytical``).  Results
-    come from :func:`repro.systems.run_system`, so repeated serving
-    experiments are cache hits and bit-identical across processes and
-    ``--jobs`` settings.
+    model (the approximate column always uses ``analytical``, so with
+    ``noc_backend="analytical"`` both columns are one cache entry).
+    Results come from :func:`repro.systems.run_system`, so repeated
+    serving experiments are cache hits and bit-identical across
+    processes and ``--jobs`` settings.
     """
     from repro.exp.cache import DEFAULT_CACHE
     from repro.systems import run_system
@@ -213,8 +212,7 @@ def measure_service_times(
     if system == "accel":
         for key in exact:
             approx[key] = run_system(
-                system, key, cache=cache,
-                noc_backend="analytical", fast_forward=True,
+                system, key, cache=cache, noc_backend=ACCEL_APPROX_BACKEND,
             ).latency_ms
         return ServiceTimes(
             system=system, exact_ms=exact, approx_ms=approx,
@@ -242,10 +240,10 @@ def warm_service_cache(
     whatever ``jobs`` was — the parallelism only moves wall-clock time.
 
     Accelerator pairs warm both service modes (the exact config, on
-    ``noc_backend`` if given, and the ``analytical`` + ``fast_forward``
-    degradation config), using the exact cache keys ``run_system`` will
-    look up.  Unsupported (system, benchmark) pairs fail their warm-up
-    point quietly here and loudly later in
+    ``noc_backend`` if given, and the ``analytical`` degradation
+    config), using the exact cache keys ``run_system`` will look up.
+    Unsupported (system, benchmark) pairs fail their warm-up point
+    quietly here and loudly later in
     :func:`measure_service_times` if actually used.
     """
     from repro.exp.cache import DEFAULT_CACHE
@@ -280,7 +278,6 @@ def _accel_service_configs(noc_backend: str | None):
     approx = (
         configuration_by_name(DEFAULT_CONFIG_NAME)
         .with_clock(DEFAULT_CLOCK_GHZ)
-        .with_noc_backend("analytical")
-        .with_fast_forward()
+        .with_noc_backend(ACCEL_APPROX_BACKEND)
     )
     return exact, approx

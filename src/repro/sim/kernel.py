@@ -183,8 +183,8 @@ class Simulator:
         self._free: list[Event] = []
         # The currently-draining bulk dispatch and how many of its items
         # have not started: while an item's callback runs that excludes
-        # it (see :meth:`inline_safe`); while its watchdog check runs it
-        # is still counted, as a queued event would be.
+        # it (see :attr:`pending`); while its watchdog check runs it is
+        # still counted, as a queued event would be.
         self._batch_items: list[tuple[Callable[..., None], tuple[Any, ...]]] = []
         self._batch_pending = 0
         # Single bound-method instance marking bulk-post heap entries:
@@ -351,22 +351,6 @@ class Simulator:
             (time, seq, Event(time, seq, self._batch_marker, (items,))),
         )
 
-    def inline_safe(self, time: float) -> bool:
-        """True if running a callback at ``time`` *right now* cannot
-        reorder anything the kernel has queued.
-
-        Holds when no same-batch items are still waiting to dispatch and
-        ``time`` is strictly earlier than the next heap entry (or the
-        heap is empty) — i.e. the callback would be the very next thing
-        the run loop dispatched anyway.  The engine's fast-forward mode
-        uses this to run continuation chains inline without changing the
-        global (time, seq) dispatch order.
-        """
-        if self._batch_pending:
-            return False
-        queue = self._queue
-        return not queue or time < queue[0][0]
-
     def _recycle(self, event: Event) -> None:
         """Reset a fired recyclable event and return it to the free-list.
 
@@ -390,7 +374,9 @@ class Simulator:
         """Run events until the queue drains, ``until`` ns, or ``max_events``.
 
         ``until`` and ``max_events`` are cooperative stop conditions (the
-        run returns quietly); ``watchdog`` — any object with a
+        run returns quietly; an ``until`` earlier than :attr:`now` raises
+        :class:`SimulationError`, since the clock never moves backwards);
+        ``watchdog`` — any object with a
         ``before_event(sim, event)`` method, normally a
         :class:`repro.sim.watchdog.Watchdog` — enforces hard budgets by
         raising on a trip, leaving the offending event queued so the
@@ -404,6 +390,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} ns; current time is {self._now} ns"
+            )
         if watchdog is not None and not hasattr(watchdog, "inline_budgets"):
             watchdog = _EveryEvent(watchdog)
         self._running = True

@@ -40,8 +40,6 @@ class AcceleratorSystem:
         config = config.with_clock(options.clock_ghz or DEFAULT_CLOCK_GHZ)
         if options.noc_backend is not None:
             config = config.with_noc_backend(options.noc_backend)
-        if options.fast_forward:
-            config = config.with_fast_forward()
         self._config = config
 
     @property

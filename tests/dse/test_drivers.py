@@ -168,7 +168,7 @@ class TestDocument:
         _stub_sweep(monkeypatch)
         doc = run_dse("gcn-cora", driver="random", points=6, seed=9,
                       cache=None).document()
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["kind"] == "dse"
         assert doc["benchmark"] == "gcn-cora"
         assert doc["space"] == "default"

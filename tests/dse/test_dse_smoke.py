@@ -45,7 +45,7 @@ class TestDseSmoke:
                 f"{artifact_path}"
             )
         doc = json.loads(first)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["counts"]["evaluated"] == 16
         assert doc["counts"]["failed"] == 0
         assert doc["frontier"]

@@ -86,10 +86,6 @@ class TestPointKey:
             "analytical" if c.noc_backend != "analytical" else "packet"
         ),
         "clock_ghz": lambda c: c.with_clock(c.clock_ghz / 2),
-        # Fast-forward is an approximation (closed-form advancement when
-        # no contention is visible), so its reports must never be served
-        # from a default-path run's cache entry or vice versa.
-        "fast_forward": lambda c: c.with_fast_forward(not c.fast_forward),
     }
 
     #: Fields deliberately excluded from the fingerprint: execution
@@ -202,6 +198,56 @@ class TestPointKey:
         assert point_key("gcn-cora", clone) == point_key(
             "gcn-cora", CPU_ISO_BW
         )
+
+
+class TestKeyIdentity:
+    """Literal keys of long-lived cache entries and pinned reports.
+
+    A key that moves silently orphans every warm cache and every pin in
+    ``perfbench/pins.json``; moving one must be a deliberate
+    ``SCHEMA_VERSION`` bump that rewrites these literals too.
+    """
+
+    #: (benchmark, NoC backend) -> point_key at CPU iso-BW @ 2.4 GHz.
+    POINT_KEYS = {
+        ("gcn-pubmed", "packet"):
+            "9e2b56457a6a492aceff1e75c53715cbdfca6eaa13fa73f703e611e9f57b0ee5",
+        ("gcn-cora", "packet"):
+            "6a1d70cbbc316e4a9d5357df334e888adc070d833a639db710babbb2bdb33ddb",
+        ("gcn-cora", "analytical"):
+            "bcd2ea4602eecaf085cd51fc5f1802e5de65715c90aa59b9eecb7da4596d160b",
+    }
+
+    #: shard_point_key of gcn-cora, shard 1 of a 2-chip bfs partition,
+    #: CPU iso-BW @ 2.4 GHz on the packet NoC.
+    SHARD_KEY = (
+        "f68514d4e7cea8de62c25738717f93b1863b68b0e26d1076e7ad175245299e80"
+    )
+
+    def test_schema_version_unchanged(self):
+        assert SCHEMA_VERSION == 1
+
+    @pytest.mark.parametrize("benchmark_key,noc_backend", sorted(POINT_KEYS))
+    def test_point_key_literal(self, benchmark_key, noc_backend):
+        from repro.eval.accelerator import resolve_benchmark_config
+
+        _, config = resolve_benchmark_config(
+            benchmark_key, "CPU iso-BW", 2.4, noc_backend
+        )
+        assert point_key(benchmark_key, config) == (
+            self.POINT_KEYS[benchmark_key, noc_backend]
+        )
+
+    def test_shard_point_key_literal(self):
+        from repro.eval.accelerator import resolve_benchmark_config
+        from repro.partition.core import ShardSpec
+        from repro.partition.shards import shard_point_key
+
+        _, config = resolve_benchmark_config(
+            "gcn-cora", "CPU iso-BW", 2.4, "packet"
+        )
+        spec = ShardSpec(chips=2, index=1, method="bfs", seed=0)
+        assert shard_point_key("gcn-cora", config, spec) == self.SHARD_KEY
 
 
 class TestResultCache:

@@ -114,6 +114,19 @@ class TestMeasureServiceTimes:
         clear_memo()
         assert warmed == cold
 
+    def test_accel_on_analytical_prices_both_columns_once(self, tmp_path):
+        """The degradation column is the analytical NoC, so an analytical
+        exact column is the same point: one cache entry, equal tables."""
+        clear_memo()
+        cache = ResultCache(tmp_path)
+        table = measure_service_times(
+            "accel", ["gcn-cora"], noc_backend="analytical", cache=cache
+        )
+        clear_memo()
+        assert len(cache) == 1
+        assert table.approx_ms == table.exact_ms
+        assert table.approximate_backend == "analytical"
+
     @pytest.mark.slow
     def test_accel_approx_column_is_tagged_and_cheaper(self, tmp_path):
         clear_memo()

@@ -64,6 +64,23 @@ def test_run_until_advances_time_with_empty_queue():
     assert sim.now == 42.0
 
 
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_run_until_in_past_rejected(fastpath):
+    """The clock never moves backwards: ``until < now`` raises and leaves
+    ``now`` alone, so a later ``schedule_at`` in the past is still refused;
+    ``until == now`` stays legal."""
+    sim = Simulator(fastpath=fastpath)
+    sim.schedule(100.0, lambda: None)
+    sim.run(until=150.0)
+    assert sim.now == 150.0
+    with pytest.raises(SimulationError, match="current time is 150"):
+        sim.run(until=50.0)
+    assert sim.now == 150.0
+    with pytest.raises(SimulationError):
+        sim.schedule_at(60.0, lambda: None)
+    assert sim.run(until=150.0) == 150.0
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
