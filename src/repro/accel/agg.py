@@ -142,7 +142,7 @@ class Aggregator(Module):
         entry = self._active.get(agg_id)
         if entry is None:
             raise KeyError(f"no in-flight aggregation {agg_id}")
-        _, finish = self.alu_bank.occupy(
+        finish = self.alu_bank.occupy_until(
             arrival_ns, self._fold_cycles / self._ghz
         )
         self.stats.add("contributions")
@@ -173,7 +173,7 @@ class Aggregator(Module):
                 f"aggregation {agg_id} expects {entry.remaining} more "
                 f"inputs, got {count}"
             )
-        _, finish = self.alu_bank.occupy(
+        finish = self.alu_bank.occupy_until(
             arrival_ns, (count * self._fold_cycles) / self._ghz
         )
         counters = self.stats._counters

@@ -134,9 +134,10 @@ class DnnQueue(Module):
         else:
             start, finish = self.dna.execute_ns(duration_ns, macs, ready)
         # The scratchpad slot frees once the DNA consumes the entry; the
-        # release is fire-and-forget, so it feeds the kernel's free-list.
-        release = start if start > self.now else self.now
-        self.sim.post_at(release, self._release_slot)
+        # release is fire-and-forget (no cancellable handle needed).
+        sim = self.sim
+        now = sim._now
+        sim.post_at(start if start > now else now, self._release_slot)
         on_complete(finish)
 
     def _release_slot(self) -> None:

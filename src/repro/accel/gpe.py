@@ -55,7 +55,9 @@ class GraphPE(Module):
         if instructions < 0:
             raise ValueError("instruction count cannot be negative")
         cycles = instructions + self.costs.context_switch_cycles
-        _, finish = self.core.occupy(ready_ns, self.clock.cycles_to_ns(cycles))
+        finish = self.core.occupy_until(
+            ready_ns, self.clock.cycles_to_ns(cycles)
+        )
         self.stats.add("issues")
         self.stats.add("instructions", instructions)
         return finish
@@ -73,7 +75,7 @@ class GraphPE(Module):
         loop skips the validation, the cycle math, and two counter-method
         dispatches per runtime action.
         """
-        _, finish = self.core.occupy(ready_ns, duration_ns)
+        finish = self.core.occupy_until(ready_ns, duration_ns)
         counters = self.stats._counters
         counters["issues"] = counters.get("issues", 0.0) + 1.0
         counters["instructions"] = (

@@ -17,7 +17,14 @@ from repro.accel.config import MemoryConfig
 from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator
 from repro.sim.module import Module
-from repro.sim.stats import BusyTracker
+from repro.sim.stats import BusyTracker, StatSet
+
+#: Counters derived from the size tallies, per request kind, in the
+#: order the first request of that kind inserts them.
+_READ_KEYS = ("requests", "reads", "bytes_requested", "bytes_serviced",
+              "bytes_wasted")
+_WRITE_KEYS = ("requests", "writes", "bytes_requested", "bytes_serviced",
+               "bytes_wasted")
 
 
 class MemoryController(Module):
@@ -34,13 +41,19 @@ class MemoryController(Module):
         super().__init__(sim, name, Clock(1.0))
         self.config = config
         self.channel = BusyTracker()
-        self._completions: deque[float] = deque()
+        # Completion times of the last ``queue_depth`` requests: the
+        # in-order queue's slots (the deque drops the oldest itself).
+        self._completions: deque[float] = deque(maxlen=config.queue_depth)
         # Request sizes repeat heavily (a layer issues the same feature /
         # block / burst sizes for every task), so the alignment and
-        # serialization arithmetic is memoized per size.  Values are the
-        # exact results of the original expressions — same operations,
-        # computed once.
-        self._size_memo: dict[int, tuple[int, float]] = {}
+        # serialization arithmetic is memoized per size, one memo per
+        # request kind.  Each entry is ``[aligned_size, transfer_ns,
+        # requests]``: the exact results of the original expressions —
+        # same operations, computed once — plus a tally of the requests
+        # of that size, from which the request counters are derived.
+        self._reads: dict[int, list] = {}
+        self._writes: dict[int, list] = {}
+        self.stats = StatSet(self._tallies)
 
     def aligned_size(self, size_bytes: int) -> int:
         """Request size rounded up to the access granularity."""
@@ -49,14 +62,27 @@ class MemoryController(Module):
         gran = self.config.access_granularity_bytes
         return max(gran, math.ceil(size_bytes / gran) * gran)
 
-    def _size_terms(self, size_bytes: int) -> tuple[int, float]:
-        """Memoized ``(aligned_size, transfer_ns_per_request)``."""
-        terms = self._size_memo.get(size_bytes)
-        if terms is None:
-            aligned = self.aligned_size(size_bytes)
-            terms = (aligned, aligned / self.config.bandwidth_gbps)
-            self._size_memo[size_bytes] = terms
-        return terms
+    def _new_size(self, size_bytes: int, write: bool) -> list:
+        """Create the memo entry of a request size not seen for its kind."""
+        aligned = self.aligned_size(size_bytes)
+        entry = [aligned, aligned / self.config.bandwidth_gbps, 0]
+        (self._writes if write else self._reads)[size_bytes] = entry
+        return entry
+
+    def _tallies(self) -> dict[str, int]:
+        """The request counters, derived from the per-size tallies."""
+        totals = dict.fromkeys(
+            ("requests", "reads", "writes", "bytes_requested",
+             "bytes_serviced", "bytes_wasted"), 0
+        )
+        for kind, memo in (("reads", self._reads), ("writes", self._writes)):
+            for size_bytes, (aligned, _, count) in memo.items():
+                totals["requests"] += count
+                totals[kind] += count
+                totals["bytes_requested"] += count * size_bytes
+                totals["bytes_serviced"] += count * aligned
+                totals["bytes_wasted"] += count * (aligned - size_bytes)
+        return totals
 
     def request(self, size_bytes: int, now: float, write: bool = False) -> float:
         """Issue a request; returns the completion time in ns.
@@ -65,38 +91,31 @@ class MemoryController(Module):
         serialized on the channel at the configured bandwidth (after
         alignment), and completes one fixed DRAM latency later.
         """
-        aligned, transfer_ns = self._size_terms(size_bytes)
+        entry = (self._writes if write else self._reads).get(size_bytes)
+        if entry is None:
+            entry = self._new_size(size_bytes, write)
         completions = self._completions
-        depth = self.config.queue_depth
         accept = now
-        queue_stalled = False
-        if len(completions) >= depth:
+        if len(completions) == completions.maxlen:
             # In-order queue: the oldest outstanding request must finish
             # before this one can occupy its slot.
-            oldest = completions[-depth]
+            oldest = completions[0]
             if oldest > accept:
                 accept = oldest
-                queue_stalled = True
-        _, channel_done = self.channel.occupy(accept, transfer_ns)
-        completion = channel_done + self.config.latency_ns
+                counters = self.stats._counters
+                counters["queue_stalls"] = (
+                    counters.get("queue_stalls", 0.0) + 1.0
+                )
+        if not entry[2]:
+            # First request of this size and kind: its counters exist
+            # from here on, in the order live counting inserted them.
+            self.stats.declare(_WRITE_KEYS if write else _READ_KEYS)
+        entry[2] += 1
+        completion = (
+            self.channel.occupy_until(accept, entry[1])
+            + self.config.latency_ns
+        )
         completions.append(completion)
-        if len(completions) > depth:
-            completions.popleft()
-        counters = self.stats._counters
-        if queue_stalled:
-            counters["queue_stalls"] = counters.get("queue_stalls", 0.0) + 1.0
-        counters["requests"] = counters.get("requests", 0.0) + 1.0
-        kind = "writes" if write else "reads"
-        counters[kind] = counters.get(kind, 0.0) + 1.0
-        counters["bytes_requested"] = (
-            counters.get("bytes_requested", 0.0) + size_bytes
-        )
-        counters["bytes_serviced"] = (
-            counters.get("bytes_serviced", 0.0) + aligned
-        )
-        counters["bytes_wasted"] = (
-            counters.get("bytes_wasted", 0.0) + (aligned - size_bytes)
-        )
         return completion
 
     def request_scatter(
@@ -116,38 +135,28 @@ class MemoryController(Module):
             raise ValueError("request count cannot be negative")
         if count == 0:
             return now
-        aligned_each = self._size_terms(size_each_bytes)[0]
+        entry = (self._writes if write else self._reads).get(size_each_bytes)
+        if entry is None:
+            entry = self._new_size(size_each_bytes, write)
         completions = self._completions
-        depth = self.config.queue_depth
         accept = now
-        queue_stalled = False
-        if len(completions) >= depth:
-            oldest = completions[-depth]
+        if len(completions) == completions.maxlen:
+            oldest = completions[0]
             if oldest > accept:
                 accept = oldest
-                queue_stalled = True
-        transfer_ns = count * aligned_each / self.config.bandwidth_gbps
-        _, channel_done = self.channel.occupy(accept, transfer_ns)
-        completion = channel_done + self.config.latency_ns
+                counters = self.stats._counters
+                counters["queue_stalls"] = (
+                    counters.get("queue_stalls", 0.0) + 1.0
+                )
+        if not entry[2]:
+            self.stats.declare(_WRITE_KEYS if write else _READ_KEYS)
+        entry[2] += count
+        transfer_ns = count * entry[0] / self.config.bandwidth_gbps
+        completion = (
+            self.channel.occupy_until(accept, transfer_ns)
+            + self.config.latency_ns
+        )
         completions.append(completion)
-        if len(completions) > depth:
-            completions.popleft()
-        counters = self.stats._counters
-        if queue_stalled:
-            counters["queue_stalls"] = counters.get("queue_stalls", 0.0) + 1.0
-        counters["requests"] = counters.get("requests", 0.0) + count
-        kind = "writes" if write else "reads"
-        counters[kind] = counters.get(kind, 0.0) + count
-        counters["bytes_requested"] = (
-            counters.get("bytes_requested", 0.0) + count * size_each_bytes
-        )
-        counters["bytes_serviced"] = (
-            counters.get("bytes_serviced", 0.0) + count * aligned_each
-        )
-        counters["bytes_wasted"] = (
-            counters.get("bytes_wasted", 0.0)
-            + count * (aligned_each - size_each_bytes)
-        )
         return completion
 
     # -- reporting ---------------------------------------------------------

@@ -52,6 +52,7 @@ class Accelerator:
             for coord in config.memory_coords
         ]
         self._mem_coords = list(config.memory_coords)
+        self._memory_nodes = list(zip(self.memories, self._mem_coords))
         self.placement = placement or RoundRobinPlacement(
             num_tiles=len(self.tiles), num_memories=len(self.memories)
         )
@@ -69,12 +70,6 @@ class Accelerator:
 
     # -- transfers ------------------------------------------------------------
 
-    def send(
-        self, src: Coord, dst: Coord, size_bytes: int, start_ns: float
-    ) -> float:
-        """NoC transfer; returns delivery time."""
-        return self.noc.delivery_time(src, dst, size_bytes, start_ns)
-
     def memory_read(
         self, vertex: int, size_bytes: int, start_ns: float, dest: Coord
     ) -> float:
@@ -83,20 +78,26 @@ class Accelerator:
         Models the asynchronous indirect request path: a header flit
         carries the request to the memory node, the controller services
         it, and the response is streamed to ``dest``.  Returns the time
-        the last byte arrives.
+        the last byte arrives.  Like :meth:`memory_write` and
+        :meth:`gather_read`, it is on the per-task hot path, so it calls
+        the NoC model directly rather than through :meth:`memory_of`.
         """
-        controller, mem_coord = self.memory_of(vertex)
-        request_arrival = self.send(dest, mem_coord, 0, start_ns)
-        data_ready = controller.request(size_bytes, request_arrival)
-        return self.send(mem_coord, dest, size_bytes, data_ready)
+        index = self.placement.memory_index(vertex) % len(self.memories)
+        mem_coord = self._mem_coords[index]
+        delivery_time = self.noc.delivery_time
+        request_arrival = delivery_time(dest, mem_coord, 0, start_ns)
+        data_ready = self.memories[index].request(size_bytes, request_arrival)
+        return delivery_time(mem_coord, dest, size_bytes, data_ready)
 
     def memory_write(
         self, vertex: int, size_bytes: int, start_ns: float, src: Coord
     ) -> float:
         """Write a result back to the vertex's memory node."""
-        controller, mem_coord = self.memory_of(vertex)
-        arrival = self.send(src, mem_coord, size_bytes, start_ns)
-        return controller.request(size_bytes, arrival, write=True)
+        index = self.placement.memory_index(vertex) % len(self.memories)
+        arrival = self.noc.delivery_time(
+            src, self._mem_coords[index], size_bytes, start_ns
+        )
+        return self.memories[index].request(size_bytes, arrival, write=True)
 
     def gather_read(
         self, count: int, size_each_bytes: int, start_ns: float, dest: Coord
@@ -111,22 +112,22 @@ class Accelerator:
         """
         if count <= 0:
             return start_ns
-        num = len(self.memories)
-        base, extra = divmod(count, num)
+        base, extra = divmod(count, len(self.memories))
+        delivery_time = self.noc.delivery_time
         last_arrival = start_ns
-        for index, controller in enumerate(self.memories):
-            share = base + (1 if index < extra else 0)
+        for index, (controller, mem_coord) in enumerate(self._memory_nodes):
+            share = base + 1 if index < extra else base
             if share == 0:
-                continue
-            mem_coord = self._mem_coords[index]
-            request_arrival = self.send(dest, mem_coord, 0, start_ns)
+                break  # every later node's share is 0 too
+            request_arrival = delivery_time(dest, mem_coord, 0, start_ns)
             data_ready = controller.request_scatter(
                 share, size_each_bytes, request_arrival
             )
-            arrival = self.send(
+            arrival = delivery_time(
                 mem_coord, dest, share * size_each_bytes, data_ready
             )
-            last_arrival = max(last_arrival, arrival)
+            if arrival > last_arrival:
+                last_arrival = arrival
         return last_arrival
 
     # -- reporting --------------------------------------------------------------

@@ -70,7 +70,7 @@ class AnalyticalNetwork(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Zero-load tail-arrival time, delayed only by fault blackouts."""
-        trackers, _, serialization, hop, tail, _, _ = self._message(
+        trackers, _, serialization, hop, tail, _, _, _ = self._message(
             src, dst, size_bytes
         )
         if not trackers:

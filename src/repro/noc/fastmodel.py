@@ -14,7 +14,8 @@ model: ``hops * hop_cycles + (flits - 1)`` cycles.
 Per message the model does one dict lookup in the shared message memo
 (:meth:`~repro.noc.links.LinkLedgerBase._message`, which holds the
 route as a tuple of link trackers plus every timing term derivable from
-``(src, dst, size_bytes)``), four counter updates, and one
+``(src, dst, size_bytes)``, and counts the message in that shape's
+tally, from which the message counters are derived), and one
 :func:`~repro.sim.stats.reserve_path` walk over those trackers —
 validation and XY routing run only the first time a message shape is
 seen.
@@ -52,7 +53,7 @@ class PacketNetwork(LinkLedgerBase):
         Reserves serialization time on every XY-route link, so later
         packets crossing the same links queue behind this one.
         """
-        trackers, _, serialization, hop, tail, _, _ = self._message(
+        trackers, _, serialization, hop, tail, _, _, _ = self._message(
             src, dst, size_bytes
         )
         if not trackers:

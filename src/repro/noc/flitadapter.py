@@ -82,7 +82,7 @@ class FlitNetworkAdapter(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Tail-arrival time from a batch replay of overlapping traffic."""
-        trackers, flits, serialization, hop, _, _, _ = self._message(
+        trackers, flits, serialization, hop, _, _, _, _ = self._message(
             src, dst, size_bytes
         )
         config = self.config

@@ -14,7 +14,9 @@ It also owns the one per-message memo every backend's
 endlessly in a simulation (the same feature sizes over the same
 routes), so validation, routing, the flit count and the timing addends
 are computed once per ``(src, dst, size_bytes)``, and the route is kept
-as the tuple of link trackers it crosses.
+as the tuple of link trackers it crosses.  Each entry also tallies the
+messages of its shape; the four protocol counters are derived from
+those tallies when read (see :mod:`repro.sim.stats`).
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from repro.noc.model import TrackerListener
 from repro.noc.topology import Coord, Mesh
 from repro.sim.stats import BusyTracker, StatSet
 
-#: Memoized terms of one message shape, in this order: the route's link
+#: Memo entry of one message shape, in this order: the route's link
 #: trackers, flits, serialization ns (flits * cycle), per-hop ns
 #: (hop_cycles * cycle), tail ns ((flits - 1) * cycle), payload bytes
-#: (never negative), and flit-hops (flits * route length).
-MessageTerms = tuple[
-    tuple[BusyTracker, ...], int, float, float, float, int, int
-]
+#: (never negative), flit-hops (flits * route length), and the number of
+#: messages of this shape so far.  A list, so the tally updates in place.
+MessageTerms = list
+
+#: The message counters, in the order the first message inserts them.
+COUNTER_KEYS = ("packets", "flits", "bytes", "flit_hops")
 
 
 class LinkLedgerBase:
@@ -46,7 +50,7 @@ class LinkLedgerBase:
         self._links: dict[tuple[Coord, Coord], BusyTracker] = {}
         self._tracker_listener: TrackerListener | None = None
         self._messages: dict[tuple[Coord, Coord, int], MessageTerms] = {}
-        self.stats = StatSet()
+        self.stats = StatSet(self._tallies)
 
     def _link(self, src: Coord, dst: Coord) -> BusyTracker:
         key = (src, dst)
@@ -63,14 +67,16 @@ class LinkLedgerBase:
     ) -> MessageTerms:
         """The memoized :data:`MessageTerms` of one message, counted.
 
-        Adds the message to the four protocol counters (``packets``,
-        ``flits``, ``bytes``, ``flit_hops``) as inline dict updates:
-        the observability layer reads :attr:`stats` live, so they are
-        never deferred.  Nodes are validated and the route is built only
-        on a miss; a failure is never memoized, so an invalid node
-        raises on every call.  Route trackers are created through
-        :meth:`_link` in route order, which keeps link creation order
-        and listener callbacks exactly as a per-hop walk would.
+        Adds the message to its shape's tally, from which the four
+        protocol counters (``packets``, ``flits``, ``bytes``,
+        ``flit_hops``) are derived whenever :attr:`stats` is read.
+        Nodes are validated and the route is built only on a miss; a
+        failure is never memoized, so an invalid node raises on every
+        call.  Route trackers are created through :meth:`_link` in route
+        order, which keeps link creation order and listener callbacks
+        exactly as a per-hop walk would.  The counter keys are declared
+        on a miss, so they exist from the first message on, as live
+        counting would insert them.
         """
         terms = self._messages.get((src, dst, size_bytes))
         if terms is None:
@@ -83,7 +89,7 @@ class LinkLedgerBase:
             trackers = tuple(
                 self._link(*link) for link in mesh.route_links(src, dst)
             )
-            terms = (
+            terms = [
                 trackers,
                 flits,
                 flits * cycle,
@@ -91,14 +97,24 @@ class LinkLedgerBase:
                 (flits - 1) * cycle,
                 max(size_bytes, 0),
                 flits * len(trackers),
-            )
+                0,
+            ]
             self._messages[(src, dst, size_bytes)] = terms
-        counters = self.stats._counters
-        counters["packets"] = counters.get("packets", 0.0) + 1.0
-        counters["flits"] = counters.get("flits", 0.0) + terms[1]
-        counters["bytes"] = counters.get("bytes", 0.0) + terms[5]
-        counters["flit_hops"] = counters.get("flit_hops", 0.0) + terms[6]
+            self.stats.declare(COUNTER_KEYS)
+        terms[7] += 1
         return terms
+
+    def _tallies(self) -> dict[str, int]:
+        """The message counters, derived from the per-shape tallies."""
+        packets = flits = payload = flit_hops = 0
+        for terms in self._messages.values():
+            count = terms[7]
+            packets += count
+            flits += count * terms[1]
+            payload += count * terms[5]
+            flit_hops += count * terms[6]
+        return {"packets": packets, "flits": flits, "bytes": payload,
+                "flit_hops": flit_hops}
 
     def attach_tracker_listener(self, listener: TrackerListener) -> None:
         """Call ``listener(link, tracker)`` for every directed link.

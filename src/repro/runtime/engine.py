@@ -20,6 +20,7 @@ allocation, DNQ slots, data arrivals).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -177,11 +178,6 @@ class RuntimeEngine:
         self._visit_memo: dict[int, float] = {}
         self._plan: _LayerPlan | None = None
 
-    def _trace(self, layer, task, phase: str, tile, t: float) -> None:
-        if self.tracer is not None:
-            self.tracer.record(t, layer.name, task.vertex, phase,
-                               tile.coord)
-
     # -- top level ----------------------------------------------------------
 
     def run(self, program: AcceleratorProgram) -> SimulationReport:
@@ -331,7 +327,7 @@ class RuntimeEngine:
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int
     ) -> None:
         tile.gpe.acquire_thread_at(
-            lambda grant_ns: self._start_task(tile, task, layer, i, grant_ns)
+            partial(self._start_task, tile, task, layer, i)
         )
 
     # -- one vertex program ------------------------------------------------------
@@ -345,8 +341,9 @@ class RuntimeEngine:
         a far-future timestamp would falsely head-of-line block requests
         issued (in real time) before it.
         """
-        now = self.sim.now
-        self.sim.post_at(t if t > now else now, callback, *args)
+        sim = self.sim
+        now = sim._now
+        sim.post_at(t if t > now else now, callback, *args)
 
     def _start_task(
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
@@ -357,7 +354,9 @@ class RuntimeEngine:
         ``t`` is the thread-grant time (equal to ``sim.now``).
         """
         plan = self._plan
-        self._trace(layer, task, "start", tile, t)
+        if self.tracer is not None:
+            self.tracer.record(t, layer.name, task.vertex, "start",
+                               tile.coord)
         t = tile.gpe.issue_ns(plan.ctrl_ns[i], task.control_instructions, t)
         if task.block_load_bytes:
             t = tile.gpe.issue_ns(plan.load_ns, self._ipl, t)
@@ -396,7 +395,7 @@ class RuntimeEngine:
         rounds = len(traversal)
         while index < rounds and traversal[index].count == 0:
             index += 1
-        now = self.sim.now
+        now = self.sim._now
         if t < now:
             t = now
         if index < rounds:
@@ -426,7 +425,9 @@ class RuntimeEngine:
         traversal phase (``local_contributions``, folded as soon as the
         entry exists) and the indirect gather reads issued here.
         """
-        self._trace(layer, task, "aggregate", tile, t)
+        if self.tracer is not None:
+            self.tracer.record(t, layer.name, task.vertex, "aggregate",
+                               tile.coord)
         issue_done = tile.gpe.issue_ns(
             self._plan.agg_issue_ns[i],
             task.gather_count * self._ipl + self._ipa,
@@ -434,7 +435,7 @@ class RuntimeEngine:
         )
 
         def on_grant(grant_ns: float, agg_id: int) -> None:
-            start = max(issue_done, grant_ns)
+            start = grant_ns if grant_ns > issue_done else issue_done
             local_done = start
             if task.local_contributions:
                 local_done = tile.agg.contribute_batch(
@@ -468,12 +469,14 @@ class RuntimeEngine:
         if not task.has_dna_job:
             self._finish_task(tile, task, t, layer)
             return
-        self._trace(layer, task, "dna", tile, t)
+        if self.tracer is not None:
+            self.tracer.record(t, layer.name, task.vertex, "dna", tile.coord)
         issue_done = tile.gpe.issue_ns(self._plan.dnq_issue_ns, self._ipa, t)
         dna_ns = self._plan.dna_ns[i]
 
         def on_slot() -> None:
-            fetch_start = max(issue_done, self.sim.now)
+            now = self.sim._now
+            fetch_start = now if now > issue_done else issue_done
             if task.feature_bytes:
                 arrival = self.accel.memory_read(
                     task.vertex, task.feature_bytes, fetch_start, tile.coord
@@ -507,8 +510,9 @@ class RuntimeEngine:
         layer: LayerProgram | None = None,
     ) -> None:
         """Phase 6: writeback, thread release, layer bookkeeping."""
-        if layer is not None:
-            self._trace(layer, task, "finish", tile, t)
+        if layer is not None and self.tracer is not None:
+            self.tracer.record(t, layer.name, task.vertex, "finish",
+                               tile.coord)
         if task.output_bytes:
             t = self.accel.memory_write(
                 task.vertex, task.output_bytes, t, tile.coord

@@ -1,11 +1,29 @@
 """Discrete-event simulation kernel.
 
-A :class:`Simulator` owns a priority queue of :class:`Event` objects.
+A :class:`Simulator` owns a priority queue of scheduled callbacks.
 Events scheduled for the same timestamp fire in scheduling order, which
 makes runs deterministic for a fixed workload (a property the test suite
-relies on).  Heap entries are ``(time, seq, event)`` tuples: ``seq`` is
-unique, so ``heapq`` orders them by comparing floats and ints in C and
-never compares two events.
+relies on).
+
+Tuple-entry contract: every heap entry is a ``(time, seq, callback,
+args)`` tuple.  ``seq`` is unique, so ``heapq`` orders entries by
+comparing floats and ints in C and never looks past it.
+
+* :meth:`Simulator.post` / :meth:`Simulator.post_at` push
+  ``(time, seq, callback, args)`` — one tuple, no :class:`Event`;
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
+  cancellable :class:`Event` and push ``(time, seq, None, event)``; the
+  run loops check ``event.cancelled`` when such an entry reaches the
+  head and skip it if set;
+* :meth:`Simulator.post_bulk` pushes ``(time, seq, marker, items)``
+  with the simulator's batch marker as the callback.
+
+The production loop builds a probe :class:`Event` only on the rare
+path that hands one to outside code (a watchdog's ``before_event``
+where a budget could trip); the general loop, which serves the
+reference path, ``until``/``max_events`` and profilers, builds one per
+event.  Every timestamp check is written ``not time >= now``, which
+also rejects NaN.
 
 Fast path
 ---------
@@ -13,26 +31,19 @@ Fast path
 The kernel has two mechanically different but observably identical
 execution modes:
 
-* the **fast path** (default) — slotted events drawn from a free-list,
-  same-timestamp bulk schedules (:meth:`Simulator.post_bulk`) stored as
-  one heap entry and drained in one dispatch, and a run loop specialised
-  for the common flag combinations, which checks watchdog budgets
-  inline and calls the watchdog only on an event where one could trip;
+* the **fast path** (default) — same-timestamp bulk schedules
+  (:meth:`Simulator.post_bulk`) stored as one heap entry and drained in
+  one dispatch, and a run loop specialised for the common flag
+  combinations, which checks watchdog budgets inline and calls the
+  watchdog only on an event where one could trip;
 * the **reference path** (``Simulator(fastpath=False)`` or
   ``$REPRO_SIM_FASTPATH=0``) — the seed per-event loop: one heap entry
-  per event, no recycling, no batching.
+  per event, no batching, the watchdog called before every event.
 
 Both paths fire the same callbacks in the same order at the same
 simulated timestamps (``tests/sim/test_fastpath_identity.py`` proves
 reports field-for-field identical; ``tests/sim/test_event_queue_properties.py``
 property-tests the ordering on adversarial schedules).
-
-Free-list contract: only events created through :meth:`Simulator.post`,
-:meth:`Simulator.post_at`, and :meth:`Simulator.post_bulk` — calls that
-never hand the event object to the caller — are recycled.  Events
-returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
-are never reused, so a held reference stays valid for
-:meth:`Event.cancel` forever.
 """
 
 from __future__ import annotations
@@ -114,15 +125,17 @@ def describe_callback(callback: Callable[..., None]) -> str:
 
 
 class Event:
-    """A single scheduled callback.
+    """A single scheduled callback, as handed to outside code.
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker assigned by the simulator so same-time events fire in the
-    order they were scheduled.  The heap holds ``(time, seq, event)``
-    entries, so events themselves are never compared.
+    order they were scheduled.  Only cancellable events
+    (:meth:`Simulator.schedule_at`) live on the heap, inside a
+    ``(time, seq, None, event)`` entry; watchdogs and profilers receive
+    probe events built from plain entries.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_recycle")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
@@ -137,17 +150,13 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = cancelled
-        self._recycle = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when it is popped.
 
-        Only meaningful for *pending* events.  Cancelling an event after
-        it fired was always a silent no-op; under the fast path's
-        free-list it stays one for events obtained from
-        :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
-        (those are never recycled, exactly so a stale ``cancel`` cannot
-        hit an unrelated reused event).
+        Only meaningful for *pending* events: cancelling an event after
+        it fired is a silent no-op.  Events are never reused, so a held
+        reference stays valid for this call forever.
         """
         self.cancelled = True
 
@@ -173,23 +182,22 @@ class Simulator:
     """
 
     def __init__(self, fastpath: bool | None = None) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Any, Any]] = []
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
         self._running = False
         self.fastpath = default_fastpath() if fastpath is None else fastpath
-        # Free-list of recyclable events (post/post_at/post_bulk only).
-        self._free: list[Event] = []
         # The currently-draining bulk dispatch and how many of its items
         # have not started: while an item's callback runs that excludes
         # it (see :attr:`pending`); while its watchdog check runs it is
         # still counted, as a queued event would be.
         self._batch_items: list[tuple[Callable[..., None], tuple[Any, ...]]] = []
         self._batch_pending = 0
-        # Single bound-method instance marking bulk-post heap entries:
-        # accessing ``self._run_batch`` creates a fresh bound object each
-        # time, so identity checks must go through this stable reference.
+        # Single bound-method instance marking bulk-post heap entries
+        # (the callback slot of ``(time, seq, marker, items)``): accessing
+        # ``self._run_batch`` creates a fresh bound object each time, so
+        # identity checks must go through this stable reference.
         self._batch_marker = self._run_batch
 
     @property
@@ -212,20 +220,21 @@ class Simulator:
         once per undispatched item.
         """
         return self._batch_pending + sum(
-            self._event_weight(event) for _, _, event in self._queue
+            self._entry_weight(callback, args)
+            for _, _, callback, args in self._queue
         )
 
     def pending_active(self) -> int:
         """Number of queued events that will actually fire."""
         return self._batch_pending + sum(
-            self._event_weight(event)
-            for _, _, event in self._queue
-            if not event.cancelled
+            self._entry_weight(callback, args)
+            for _, _, callback, args in self._queue
+            if callback is not None or not args.cancelled
         )
 
-    def _event_weight(self, event: Event) -> int:
-        if event.callback is self._batch_marker:
-            return len(event.args[0])
+    def _entry_weight(self, callback: Any, args: Any) -> int:
+        if callback is self._batch_marker:
+            return len(args)
         return 1
 
     def pending_by_owner(self) -> dict[str, int]:
@@ -244,13 +253,15 @@ class Simulator:
                 len(self._batch_items) - self._batch_pending:
             ]
         ]
-        for _, _, event in self._queue:
-            if event.cancelled:
-                continue
-            if event.callback is self._batch_marker:
-                callbacks.extend(callback for callback, _args in event.args[0])
+        for _, _, callback, args in self._queue:
+            if callback is None:
+                if args.cancelled:
+                    continue
+                callback = args.callback
+            if callback is self._batch_marker:
+                callbacks.extend(item for item, _args in args)
             else:
-                callbacks.append(event.callback)
+                callbacks.append(callback)
         counts: dict[str, int] = {}
         for callback in callbacks:
             owner = describe_callback(callback)
@@ -261,7 +272,7 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` ns from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -269,53 +280,39 @@ class Simulator:
         """Schedule ``callback(*args)`` to fire at absolute time ``time`` ns.
 
         The returned :class:`Event` stays valid (for :meth:`Event.cancel`)
-        indefinitely — events created here are never recycled.
+        indefinitely — events are never reused.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} ns; current time is {self._now} ns"
             )
         seq = self._seq
         event = Event(time, seq, callback, args)
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, None, event))
         return event
 
     def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, event recyclable."""
-        if delay < 0:
+        """Fire-and-forget :meth:`schedule`: no handle, no :class:`Event`."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self.post_at(self._now + delay, callback, *args)
 
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` feeding the event free-list.
+        """Fire-and-forget :meth:`schedule_at`: one heap tuple, no handle.
 
-        Returns nothing, so the kernel is the only holder of the event
-        object and may recycle it after dispatch.  Hot callers (the
-        runtime engine, module-internal continuations) use this to kill
-        per-event allocation; anything that might need to cancel must use
-        :meth:`schedule_at`.
+        Hot callers (the runtime engine, module-internal continuations)
+        use this to allocate one ``(time, seq, callback, args)`` tuple per
+        event and nothing else; anything that might need to cancel must
+        use :meth:`schedule_at`.
         """
-        now = self._now
-        if time < now:
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule at {time} ns; current time is {now} ns"
+                f"cannot schedule at {time} ns; current time is {self._now} ns"
             )
-        free = self._free
         seq = self._seq
-        if self.fastpath and free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-        else:
-            event = Event(time, seq, callback, args)
-            # Reference mode allocates a fresh, never-recycled event per
-            # post, exactly like the seed loop.
-            event._recycle = self.fastpath
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, callback, args))
 
     def post_bulk(
         self,
@@ -334,33 +331,19 @@ class Simulator:
         """
         if not items:
             return
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} ns; current time is {self._now} ns"
+            )
         if not self.fastpath:
             for callback, args in items:
                 self.post_at(time, callback, *args)
             return
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} ns; current time is {self._now} ns"
-            )
         seq = self._seq
         # One seq per item keeps later individually-scheduled events
         # ordered after the whole batch, exactly as per-item posts would.
         self._seq = seq + len(items)
-        heapq.heappush(
-            self._queue,
-            (time, seq, Event(time, seq, self._batch_marker, (items,))),
-        )
-
-    def _recycle(self, event: Event) -> None:
-        """Reset a fired recyclable event and return it to the free-list.
-
-        Clearing ``callback``/``args`` both prevents state leaking into
-        the next reuse and drops references so arguments are collectable.
-        """
-        event.callback = _UNSET
-        event.args = ()
-        event.cancelled = False
-        self._free.append(event)
+        heapq.heappush(self._queue, (time, seq, self._batch_marker, items))
 
     # -- run loops ----------------------------------------------------------
 
@@ -390,7 +373,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"cannot run until {until} ns; current time is {self._now} ns"
             )
@@ -417,35 +400,29 @@ class Simulator:
     def _run_fast(self, watchdog: "_InlineWatchdog | None") -> None:
         """Tight dispatch loop for the dominant flag combination.
 
-        No ``until``/``max_events`` bookkeeping, hoisted locals, and the
-        free-list fed inline.  A watchdog's run state lives in locals and
-        its budgets are checked inline; ``before_event`` runs (state
-        written back first) only on an event where a budget could trip,
-        so each trip and its diagnosis come from the watchdog's own code
-        at the same event as in the reference loop.
+        No ``until``/``max_events`` bookkeeping and hoisted locals.  A
+        watchdog's run state lives in locals and its budgets are checked
+        inline; ``before_event`` runs (state written back first, a probe
+        :class:`Event` built for it) only on an event where a budget
+        could trip, so each trip and its diagnosis come from the
+        watchdog's own code at the same event as in the reference loop.
         """
         queue = self._queue
         pop = heapq.heappop
-        free = self._free
         batch = self._batch_marker
         fired = 0
         if watchdog is None:
             try:
                 while queue:
-                    time, seq, event = pop(queue)
-                    if event.cancelled:
-                        if event._recycle:
-                            self._recycle(event)
-                        continue
+                    time, seq, callback, args = pop(queue)
+                    if callback is None:
+                        if args.cancelled:
+                            continue
+                        callback = args.callback
+                        args = args.args
                     self._now = time
-                    callback = event.callback
-                    args = event.args
-                    if event._recycle:
-                        event.callback = _UNSET
-                        event.args = ()
-                        free.append(event)
                     if callback is batch:
-                        self._dispatch_batch(args[0], seq, None)
+                        self._dispatch_batch(args, seq, None)
                     else:
                         callback(*args)
                         fired += 1
@@ -460,17 +437,25 @@ class Simulator:
         last_time = watchdog.last_time
         try:
             while queue:
-                time, seq, event = queue[0]
-                if event.cancelled:
-                    self._drop_cancelled()
-                    continue
+                time, seq, callback, args = queue[0]
+                if callback is None:
+                    if args.cancelled:
+                        pop(queue)
+                        continue
+                    event = args
+                    callback = event.callback
+                    args = event.args
+                else:
+                    event = None
                 if (time > max_time or wd_fired >= max_fired
                         or (time <= last_time and stall_run >= stall_edge)):
                     # A budget could trip here: the watchdog decides.
                     watchdog.fired = wd_fired
                     watchdog.stall_run = stall_run
                     watchdog.last_time = last_time
-                    before_event(self, event)
+                    before_event(
+                        self, event or Event(time, seq, callback, args)
+                    )
                     wd_fired = watchdog.fired
                     stall_run = watchdog.stall_run
                     last_time = watchdog.last_time
@@ -483,12 +468,6 @@ class Simulator:
                     wd_fired += 1
                 pop(queue)
                 self._now = time
-                callback = event.callback
-                args = event.args
-                if event._recycle:
-                    event.callback = _UNSET
-                    event.args = ()
-                    free.append(event)
                 if callback is batch:
                     # The first item's budget check just ran; the batch
                     # checks the rest against the watchdog's own state.
@@ -496,7 +475,7 @@ class Simulator:
                     watchdog.stall_run = stall_run
                     watchdog.last_time = last_time
                     try:
-                        self._dispatch_batch(args[0], seq, watchdog,
+                        self._dispatch_batch(args, seq, watchdog,
                                              first_checked=True)
                     finally:
                         wd_fired = watchdog.fired
@@ -520,33 +499,36 @@ class Simulator:
         """Reference-shaped loop covering every flag combination.
 
         With ``fastpath=False`` this *is* the seed event loop (bulk posts
-        degrade to per-item events and nothing is recycled, so the
-        watchdog sees every event), which is what the differential
-        identity tier runs against.
+        degrade to per-item events, so the watchdog sees every event),
+        which is what the differential identity tier runs against.  Every
+        event it hands to a watchdog or profiler is an :class:`Event`
+        (a probe, for plain entries).
         """
         queue = self._queue
         stop_at = _INF if until is None else until
         limit = _INF if max_events is None else self._events_fired + max_events
         batch = self._batch_marker
         while queue:
-            time, seq, event = queue[0]
+            time, seq, callback, args = queue[0]
             if time > stop_at:
                 self._now = stop_at
                 return
-            if event.cancelled:
-                self._drop_cancelled()
-                continue
+            if callback is None:
+                if args.cancelled:
+                    heapq.heappop(queue)
+                    continue
+                event = args
+                callback = event.callback
+                args = event.args
+            else:
+                event = Event(time, seq, callback, args)
             if watchdog is not None:
                 watchdog.before_event(self, event)
             heapq.heappop(queue)
             self._now = time
-            callback = event.callback
-            args = event.args
-            if event._recycle:
-                self._recycle(event)
             if callback is batch:
                 self._dispatch_batch(
-                    args[0], seq, watchdog,
+                    args, seq, watchdog,
                     first_checked=watchdog is not None,
                     profiler=profiler,
                 )
@@ -565,25 +547,13 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
 
-    def _drop_cancelled(self) -> None:
-        """Pop one cancelled event off the heap (the single drain path).
-
-        Every loop — fast, general, :meth:`step` — discards cancelled
-        events through this helper, so a cancel issued at the current
-        timestamp is honoured identically everywhere: the flag is checked
-        on the queue head *before* any dispatch or watchdog accounting.
-        """
-        event = heapq.heappop(self._queue)[2]
-        if event._recycle:
-            self._recycle(event)
-
     def _run_batch(
         self,
         items: list[tuple[Callable[..., None], tuple[Any, ...]]],
     ) -> None:  # pragma: no cover - dispatched via _dispatch_batch
         """Marker callback identifying a bulk-post heap entry.
 
-        Never invoked directly: the run loops compare ``event.callback``
+        Never invoked directly: the run loops compare an entry's callback
         against this bound method and hand the item list to
         :meth:`_dispatch_batch` so per-item watchdog/profiler bookkeeping
         matches the per-event loops.
@@ -664,30 +634,30 @@ class Simulator:
                 watchdog.stall_run = stall_run
             if unstarted:
                 rest = len(items) - unstarted
-                heapq.heappush(self._queue, (now, seq + rest, Event(
-                    now, seq + rest, self._batch_marker, (items[rest:],)
-                )))
+                heapq.heappush(self._queue, (
+                    now, seq + rest, self._batch_marker, items[rest:]
+                ))
 
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
 
         Returns True if an event fired, False if the queue was empty.
         Bulk posts are not steppable item-by-item; the whole batch counts
-        as the next event and drains in one step.
+        as the next event and drains in one step.  Cancelled events are
+        skipped exactly as the run loops skip them: checked at the head,
+        before any dispatch.
         """
         queue = self._queue
         while queue:
-            if queue[0][2].cancelled:
-                self._drop_cancelled()
-                continue
-            time, seq, event = heapq.heappop(queue)
+            time, seq, callback, args = heapq.heappop(queue)
+            if callback is None:
+                if args.cancelled:
+                    continue
+                callback = args.callback
+                args = args.args
             self._now = time
-            callback = event.callback
-            args = event.args
-            if event._recycle:
-                self._recycle(event)
             if callback is self._batch_marker:
-                self._dispatch_batch(args[0], seq, None)
+                self._dispatch_batch(args, seq, None)
             else:
                 callback(*args)
                 self._events_fired += 1
@@ -720,13 +690,3 @@ class _EveryEvent:
 
     def inline_budgets(self) -> tuple[float, float, float]:
         return -_INF, 0, 0
-
-
-def _unset_callback(*_args: Any) -> None:  # pragma: no cover - guard only
-    raise SimulationError("a recycled event fired without being rescheduled")
-
-
-#: Placeholder callback installed on free-listed events so a kernel bug
-#: (dispatching a recycled-but-unscheduled event) fails loudly instead of
-#: silently re-running a stale handler.
-_UNSET: Callable[..., None] = _unset_callback

@@ -23,7 +23,7 @@ class Module:
     @property
     def now(self) -> float:
         """Current simulated time in nanoseconds."""
-        return self.sim.now
+        return self.sim._now
 
     def after_cycles(self, cycles: float, callback, *args) -> None:
         """Schedule ``callback`` after ``cycles`` of this module's clock."""

@@ -2,14 +2,40 @@
 
 Three pieces:
 
-* :class:`StatSet` — a named bag of additive counters.
+* :class:`StatSet` — a named bag of additive counters, some of which
+  may be derived from per-shape tallies (below).
 * :class:`BusyTracker` — accumulates busy time so modules can report
   utilization (e.g. the DNA utilization plotted in the paper's Figure 10).
 * :func:`reserve_path` — :meth:`BusyTracker.occupy` over a chain of
   trackers, the packet NoC's per-message route walk.
+
+Tally-derived counters
+----------------------
+
+The NoC's message counters (``packets``, ``flits``, ``bytes``,
+``flit_hops``) and the memory controller's request counters
+(``requests``, ``reads``, ``writes``, ``bytes_requested``,
+``bytes_serviced``, ``bytes_wasted``) are pure functions of how often
+each message or request *shape* occurred, and both units already memo
+per shape.  So instead of four to six dict updates per message, each
+memo entry carries a hit count, and the :class:`StatSet` derives the
+counters from those tallies whenever it is read (``get``, ``as_dict``,
+``merge``).  A counter's key is inserted, with value 0.0, the first time
+a shape that feeds it is used — exactly when the per-message update
+would first have inserted it — so key presence (``in``) and key order
+are those of live counting.
+
+This is exact, not approximate: every increment is an integer-valued
+float (message and request sizes are whole bytes), and a sum of
+integers below 2**53 is exact in any order, so ``count * size`` summed
+per shape equals the running per-message float sum bit for bit.
+Counters that are not a function of the shape — ``queue_stalls`` and
+the fault counters — stay live.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 
 class StatSet:
@@ -20,12 +46,19 @@ class StatSet:
     so it avoids ``defaultdict.__missing__`` dispatch and keeps the
     counter dict reachable for hot callers that fold several increments
     into one dict transaction.
+
+    ``tallied`` returns the tally-derived part of the counters (see the
+    module docstring); a counter's value is its live part plus its
+    derived part, and only keys present in the live dict exist.
     """
 
-    __slots__ = ("_counters",)
+    __slots__ = ("_counters", "_tallied")
 
-    def __init__(self) -> None:
+    def __init__(
+        self, tallied: Callable[[], dict[str, int]] | None = None
+    ) -> None:
         self._counters: dict[str, float] = {}
+        self._tallied = tallied
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -34,23 +67,38 @@ class StatSet:
 
     def get(self, name: str) -> float:
         """Current value of counter ``name`` (0.0 if never incremented)."""
-        return self._counters.get(name, 0.0)
+        value = self._counters.get(name, 0.0)
+        if self._tallied is not None and name in self._counters:
+            value += self._tallied().get(name, 0)
+        return value
 
     def as_dict(self) -> dict[str, float]:
         """Snapshot of all counters."""
-        return dict(self._counters)
+        counters = dict(self._counters)
+        if self._tallied is not None:
+            for name, value in self._tallied().items():
+                if name in counters:
+                    counters[name] += value
+        return counters
 
     def merge(self, other: "StatSet") -> None:
         """Add all counters from ``other`` into this set."""
         counters = self._counters
-        for name, value in other._counters.items():
+        for name, value in other.as_dict().items():
             counters[name] = counters.get(name, 0.0) + value
+
+    def declare(self, names: tuple[str, ...]) -> None:
+        """Insert ``names`` at 0.0 unless present (tally-derived keys)."""
+        counters = self._counters
+        for name in names:
+            if name not in counters:
+                counters[name] = 0.0
 
     def __contains__(self, name: str) -> bool:
         return name in self._counters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
+        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.as_dict().items()))
         return f"StatSet({body})"
 
 
@@ -102,9 +150,21 @@ class BusyTracker:
         resource is still busy at ``now`` the interval starts when it
         frees up (FIFO serialization).
         """
+        busy_until = self._busy_until
+        finish = self.occupy_until(now, duration)
+        return (now if busy_until <= now else busy_until), finish
+
+    def occupy_until(self, now: float, duration: float) -> float:
+        """:meth:`occupy`, returning only the finish time.
+
+        The hot callers (GPE issue, memory channel, AGG ALU bank)
+        discard the start, so this form allocates no tuple.
+        """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
-        start = max(now, self._busy_until)
+        start = self._busy_until
+        if start <= now:  # max(now, busy_until), now on a tie
+            start = now
         finish = start + duration
         self._busy_until = finish
         self._busy_time += duration
@@ -113,7 +173,7 @@ class BusyTracker:
         self._last_use = finish
         if self._span_sink is not None:
             self._span_sink.append((now, start, finish))
-        return start, finish
+        return finish
 
     def record_span(self, now: float, start: float, finish: float) -> None:
         """Account a busy span without serializing behind it.

@@ -8,8 +8,8 @@ observable execution — every callback's (time, tag) in firing order,
 the events-fired counter, the final clock — must be identical.
 
 A second property reuses one fast-path simulator across generated
-schedules to prove free-listed events never leak state between runs:
-the second schedule's trace matches a fresh simulator's bit-for-bit.
+schedules to prove a run never leaks state into the next one: the
+second schedule's trace matches a fresh simulator's bit-for-bit.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -118,9 +118,9 @@ def test_fastpath_matches_reference_under_watchdog(ops):
 @given(schedules(), schedules())
 @settings(max_examples=100, deadline=None)
 def test_free_listed_events_never_leak_state(first, second):
-    """A reused fast-path simulator (its free-list warm with recycled
-    events from an arbitrary first schedule) must execute a second
-    schedule exactly like a fresh simulator would."""
+    """A reused fast-path simulator (after an arbitrary first schedule
+    has run on it) must execute a second schedule exactly like a fresh
+    simulator would."""
     sim = Simulator(fastpath=True)
     run_schedule(first, fastpath=True, sim=sim)
     warm = run_schedule(second, fastpath=True, sim=sim, base=sim.now)

@@ -1,6 +1,6 @@
 """Differential bit-identity tier: fast path vs. the seed event loop.
 
-The kernel's fast path (event free-list, bulk same-timestamp dispatch,
+The kernel's fast path (bulk same-timestamp dispatch,
 specialised run loop) and the engine's vectorised accounting claim to be
 *observably identical* to the seed per-event implementation.  This tier
 proves it the only way that matters: run every benchmark on both

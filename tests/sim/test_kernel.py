@@ -81,6 +81,38 @@ def test_run_until_in_past_rejected(fastpath):
     assert sim.run(until=150.0) == 150.0
 
 
+@pytest.mark.parametrize("fastpath", [True, False])
+@pytest.mark.parametrize("with_watchdog", [True, False])
+def test_nan_timestamps_rejected(fastpath, with_watchdog):
+    """NaN compares false against everything, so a ``time < now`` guard
+    let it through and it corrupted heap order (events posted at 1, 3,
+    nan, 5 fired out of order).  Every scheduling entry point and
+    ``run(until=)`` refuse it, and the queue is left untouched."""
+    from repro.sim.watchdog import Watchdog, WatchdogConfig
+
+    nan = float("nan")
+    sim = Simulator(fastpath=fastpath)
+    fired = []
+    for t in (1.0, 3.0):
+        sim.post_at(t, fired.append, t)
+    rejected = [
+        lambda: sim.post_at(nan, fired.append, nan),
+        lambda: sim.post(nan, fired.append, nan),
+        lambda: sim.schedule_at(nan, fired.append, nan),
+        lambda: sim.schedule(nan, fired.append, nan),
+        lambda: sim.post_bulk(nan, [(fired.append, (nan,))]),
+        lambda: sim.run(until=nan),
+    ]
+    for call in rejected:
+        with pytest.raises(SimulationError):
+            call()
+    sim.post_at(5.0, fired.append, 5.0)
+    assert sim.pending == 3
+    watchdog = Watchdog(WatchdogConfig()) if with_watchdog else None
+    assert sim.run(watchdog=watchdog) == 5.0
+    assert fired == [1.0, 3.0, 5.0]
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -246,9 +278,10 @@ def test_cancel_at_current_timestamp_honoured_before_dispatch():
     suppress the victim in every run-loop flavour.
 
     The seed run loop popped cancelled events through two separate code
-    paths (plain drop vs. the watchdog-guarded branch); the drain is now
-    unified in ``Simulator._drop_cancelled``, and this test pins the
-    behaviour across both kernel modes, with and without a watchdog.
+    paths (plain drop vs. the watchdog-guarded branch); every loop now
+    checks ``cancelled`` on the queue head before any dispatch or
+    watchdog accounting, and this test pins the behaviour across both
+    kernel modes, with and without a watchdog.
     """
     from repro.sim.watchdog import Watchdog, WatchdogConfig
 
